@@ -341,11 +341,13 @@ impl EvalEngine {
     /// (a nested `map`), it degenerates to a plain serial loop on the
     /// calling thread — which is also what makes same-engine nesting
     /// deadlock-free. Each executed task bumps a per-worker task counter
-    /// (`exec.pool.worker<k>.tasks`) and the enqueue loop samples an
-    /// `exec.pool.queue_depth` gauge into [`Telemetry::metrics`] (and,
-    /// when a flight recorder is attached, a trace counter of the same
-    /// name); after the batch the pool's lifetime high-watermark lands
-    /// in the `exec.pool.queue_depth_peak` gauge.
+    /// (`exec.pool.worker<k>.tasks`). Once the last item is enqueued the
+    /// call samples an `exec.pool.queue_depth` gauge into
+    /// [`Telemetry::metrics`] (and, when a flight recorder is attached, a
+    /// trace counter of the same name) — one sample per call, so a large
+    /// batch cannot flood the recorder; after the batch the pool's
+    /// lifetime high-watermark lands in the `exec.pool.queue_depth_peak`
+    /// gauge.
     ///
     /// # Panics
     ///
@@ -384,11 +386,11 @@ impl EvalEngine {
                         metrics.inc(pool.worker_metric_name(w), 1);
                         let _ = tx.send((i, f(i, item)));
                     });
-                    let depth = pool.queue_len() as f64;
-                    metrics.set_gauge("exec.pool.queue_depth", depth);
-                    if let Some(tr) = tracer {
-                        tr.counter("exec.pool.queue_depth", depth);
-                    }
+                }
+                let depth = pool.queue_len() as f64;
+                metrics.set_gauge("exec.pool.queue_depth", depth);
+                if let Some(tr) = tracer {
+                    tr.counter("exec.pool.queue_depth", depth);
                 }
             })
         }));
@@ -485,8 +487,9 @@ impl EvalEngine {
             let trace_t0 = tracer.map(|tr| tr.now_ns());
             let outcome = {
                 // Expose the recorder and metrics registry to the layers
-                // below (the simulator emits sim.assemble/factor/solve
-                // sub-phase spans and warm-start counters through them);
+                // below (the simulator emits per-DC-solve sim.dc.* spans,
+                // the Newton-iteration histogram and warm-start counters
+                // through them);
                 // the guards restore the previous values even when the
                 // evaluation panics.
                 let _ambient = trace::set_ambient(tracer.cloned());
@@ -1060,6 +1063,25 @@ mod tests {
                 .any(|m| matches!(m, MetricSnapshot::Gauge { name, .. } if name == "exec.pool.queue_depth")),
             "queue-depth gauge sampled: {metrics:?}"
         );
+    }
+
+    #[test]
+    fn map_samples_queue_depth_once_per_call() {
+        let tracer = trace::TraceRecorder::new();
+        let telemetry = Arc::new(Telemetry::new().with_tracer(Arc::clone(&tracer)));
+        let engine = EvalEngine::new(2).with_telemetry(telemetry);
+        let calls = 3;
+        for _ in 0..calls {
+            engine.map((0..50).collect::<Vec<i32>>(), |_, v| v + 1);
+        }
+        let samples = tracer
+            .snapshot()
+            .threads
+            .iter()
+            .flat_map(|t| &t.events)
+            .filter(|e| e.name == "exec.pool.queue_depth")
+            .count();
+        assert_eq!(samples, calls, "one queue-depth sample per map call");
     }
 
     #[test]

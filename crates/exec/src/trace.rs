@@ -429,7 +429,7 @@ pub struct TraceEvent {
 thread_local! {
     /// The recorder of the evaluation currently running on this thread,
     /// installed by the executor around `Problem::evaluate` so lower
-    /// layers (e.g. the simulator in `maopt-sim`) can attach sub-phase
+    /// layers (e.g. the simulator in `maopt-sim`) can attach per-solve
     /// spans without a dependency edge back onto the telemetry plumbing.
     static AMBIENT: std::cell::RefCell<Option<Arc<TraceRecorder>>> =
         const { std::cell::RefCell::new(None) };
@@ -438,9 +438,9 @@ thread_local! {
 /// Returns the recorder installed for the evaluation currently running
 /// on this thread, if any (see [`set_ambient`]).
 ///
-/// `maopt-sim` uses this to emit `sim.assemble` / `sim.factor` /
-/// `sim.solve` spans into the same flight recorder as the surrounding
-/// `sim` span. When tracing is off this is a thread-local read returning
+/// `maopt-sim` uses this to emit one `sim.dc.{warm,fallback,cold}` span
+/// per DC solve into the same flight recorder as the surrounding `sim`
+/// span. When tracing is off this is a thread-local read returning
 /// `None`.
 pub fn ambient() -> Option<Arc<TraceRecorder>> {
     AMBIENT.with(|slot| slot.borrow().clone())

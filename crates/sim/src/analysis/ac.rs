@@ -7,7 +7,6 @@ use crate::analysis::dc::DcOp;
 use crate::circuit::{Circuit, Element, Node};
 use crate::mna::{cap_list, CStamp, CapSpec, Layout};
 use crate::mosfet::MosOp;
-use crate::probe::Probe;
 use crate::solver::{CSparseWs, SolverKind};
 use crate::SimError;
 
@@ -275,7 +274,7 @@ impl AcAnalysis {
         );
         AcAnalysis {
             freqs,
-            solver: SolverKind::Auto,
+            solver: SolverKind::Sparse,
         }
     }
 
@@ -299,32 +298,25 @@ impl AcAnalysis {
         let layout = Layout::new(ckt);
         let caps = cap_list(ckt);
         let b = ac_excitation(ckt, &layout);
-        let probe = Probe::current();
         let mut sparse = CSparseWs::new(self.solver, ckt, &layout);
         let mut xbuf: Vec<Complex> = Vec::new();
         let mut sols = Vec::with_capacity(self.freqs.len());
         for &f in &self.freqs {
             let omega = 2.0 * std::f64::consts::PI * f;
             if let Some(ws) = sparse.as_mut() {
-                if ws.factor_at(ckt, &layout, &op.mos_ops, &caps, omega, &probe) {
-                    let t = probe.start();
+                if ws.factor_at(ckt, &layout, &op.mos_ops, &caps, omega) {
                     ws.lu.solve_into(&b, &mut xbuf)?;
-                    probe.span(crate::probe::SPAN_SOLVE, t);
                     sols.push(xbuf.clone());
                     continue;
                 }
                 // The pivot-free factorization hit a tiny pivot at this
                 // frequency: fall through to the dense pivoting solver.
             }
-            let t = probe.start();
             let a = build_ac_matrix(ckt, &layout, op, &caps, omega);
             let lu = CLu::new(a).map_err(|_| SimError::SingularMatrix {
                 analysis: format!("ac @ {f} Hz"),
             })?;
-            probe.span(crate::probe::SPAN_FACTOR, t);
-            let t = probe.start();
             sols.push(lu.solve(&b)?);
-            probe.span(crate::probe::SPAN_SOLVE, t);
         }
         Ok(AcSweep {
             freqs: self.freqs.clone(),

@@ -2,9 +2,7 @@
 //! gmin stepping and source stepping as convergence aids.
 
 use crate::circuit::{Circuit, Element, ElementId, Node};
-use crate::mna::{
-    assemble_resistive, eval_mosfets_batched, Layout, MosEvalScratch, MosOpsMode, SlotStamp,
-};
+use crate::mna::{assemble_resistive, eval_mosfets, Layout, SlotStamp};
 use crate::mosfet::MosOp;
 use crate::probe::Probe;
 use crate::solver::{solve_newton_system, JacView, SolverKind, SolverWs, WarmstartKind};
@@ -56,22 +54,21 @@ impl Default for DcAnalysis {
             vtol: 1e-9,
             step_limit: 0.6,
             final_gmin: 1e-12,
-            solver: SolverKind::Auto,
+            solver: SolverKind::Sparse,
             warmstart: WarmstartKind::Auto,
             warm_budget: 40,
         }
     }
 }
 
-/// Reusable per-solve buffers: residual, RHS, Newton step, batched
-/// MOSFET staging, and the factor workspace. Allocated once per
+/// Reusable per-solve buffers: residual, RHS, Newton step, MOSFET
+/// operating points, and the factor workspace. Allocated once per
 /// [`DcAnalysis::run_at_time`] call and reused across every Newton
 /// iteration of every continuation stage.
 struct DcScratch {
     f: Vec<f64>,
     neg_f: Vec<f64>,
     delta: Vec<f64>,
-    mos: MosEvalScratch,
     mos_ops: Vec<MosOp>,
     solver: SolverWs,
 }
@@ -183,7 +180,7 @@ impl DcAnalysis {
         let probe = Probe::current();
         let mut ws = self.scratch(ckt, &layout);
         let mut iters = 0usize;
-        let x = self.solve_staged(ckt, &layout, &mut ws, &probe, x0, time, &mut iters)?;
+        let x = self.solve_staged(ckt, &layout, &mut ws, x0, time, &mut iters)?;
         probe.observe(METRIC_NEWTON_ITERS, iters as f64);
         Ok(self.finish(ckt, &layout, &mut ws, x, iters))
     }
@@ -231,7 +228,6 @@ impl DcAnalysis {
                 ckt,
                 &layout,
                 &mut ws,
-                &probe,
                 s.to_vec(),
                 self.final_gmin,
                 1.0,
@@ -247,15 +243,7 @@ impl DcAnalysis {
             warm_failed = true;
         }
 
-        let x = self.solve_staged(
-            ckt,
-            &layout,
-            &mut ws,
-            &probe,
-            vec![0.0; n],
-            time,
-            &mut iters,
-        )?;
+        let x = self.solve_staged(ckt, &layout, &mut ws, vec![0.0; n], time, &mut iters)?;
         if warm_failed {
             probe.inc(METRIC_WARM_FALLBACK);
             probe.span(SPAN_DC_FALLBACK, t0);
@@ -274,7 +262,6 @@ impl DcAnalysis {
             f: vec![0.0; n],
             neg_f: Vec::with_capacity(n),
             delta: Vec::with_capacity(n),
-            mos: MosEvalScratch::default(),
             mos_ops: Vec::with_capacity(layout.mos_elems.len()),
             solver: SolverWs::new(self.solver, ckt, layout),
         }
@@ -289,7 +276,6 @@ impl DcAnalysis {
         ckt: &Circuit,
         layout: &Layout,
         ws: &mut DcScratch,
-        probe: &Probe,
         x0: Vec<f64>,
         time: Option<f64>,
         iters: &mut usize,
@@ -299,7 +285,6 @@ impl DcAnalysis {
             ckt,
             layout,
             ws,
-            probe,
             x0.clone(),
             self.final_gmin,
             1.0,
@@ -318,7 +303,6 @@ impl DcAnalysis {
                 ckt,
                 layout,
                 ws,
-                probe,
                 x.clone(),
                 gmin,
                 1.0,
@@ -342,18 +326,7 @@ impl DcAnalysis {
         for k in 1..=10 {
             let scale = k as f64 / 10.0;
             x = self
-                .newton(
-                    ckt,
-                    layout,
-                    ws,
-                    probe,
-                    x,
-                    1e-9,
-                    scale,
-                    time,
-                    self.max_iter,
-                    iters,
-                )
+                .newton(ckt, layout, ws, x, 1e-9, scale, time, self.max_iter, iters)
                 .map_err(|_| SimError::NoConvergence {
                     analysis: format!("dc (source stepping at scale {scale})"),
                     iterations: self.max_iter,
@@ -363,7 +336,6 @@ impl DcAnalysis {
             ckt,
             layout,
             ws,
-            probe,
             x,
             self.final_gmin.max(1e-12),
             1.0,
@@ -386,7 +358,6 @@ impl DcAnalysis {
         ckt: &Circuit,
         layout: &Layout,
         ws: &mut DcScratch,
-        probe: &Probe,
         mut x: Vec<f64>,
         gmin: f64,
         source_scale: f64,
@@ -400,25 +371,16 @@ impl DcAnalysis {
                 f,
                 neg_f,
                 delta,
-                mos,
                 mos_ops,
                 solver,
             } = ws;
+            eval_mosfets(ckt, layout, &x, mos_ops);
             let mut assemble = |f: &mut [f64], jac: JacView<'_>| {
                 f.fill(0.0);
-                eval_mosfets_batched(ckt, layout, &x, mos, mos_ops);
                 match jac {
-                    JacView::Dense(m) => assemble_resistive(
-                        ckt,
-                        layout,
-                        &x,
-                        gmin,
-                        source_scale,
-                        time,
-                        f,
-                        m,
-                        MosOpsMode::Precomputed(mos_ops.as_slice()),
-                    ),
+                    JacView::Dense(m) => {
+                        assemble_resistive(ckt, layout, &x, gmin, source_scale, time, f, m, mos_ops)
+                    }
                     JacView::Sparse { vals, topo } => {
                         let mut st = SlotStamp::new(vals, &topo.resistive_slots);
                         assemble_resistive(
@@ -430,13 +392,13 @@ impl DcAnalysis {
                             time,
                             f,
                             &mut st,
-                            MosOpsMode::Precomputed(mos_ops.as_slice()),
+                            mos_ops,
                         );
                         st.finish();
                     }
                 }
             };
-            solve_newton_system(solver, "dc", probe, f, neg_f, delta, &mut assemble)?;
+            solve_newton_system(solver, "dc", f, neg_f, delta, &mut assemble)?;
             let max_step = delta.iter().fold(0.0_f64, |m, d| m.max(d.abs()));
             if !max_step.is_finite() {
                 return Err(SimError::NoConvergence {
@@ -473,12 +435,11 @@ impl DcAnalysis {
         x: Vec<f64>,
         iters: usize,
     ) -> DcOp {
-        let mut mos_ops = Vec::with_capacity(layout.mos_elems.len());
-        eval_mosfets_batched(ckt, layout, &x, &mut ws.mos, &mut mos_ops);
+        eval_mosfets(ckt, layout, &x, &mut ws.mos_ops);
         DcOp {
             x,
             layout: layout.clone(),
-            mos_ops,
+            mos_ops: std::mem::take(&mut ws.mos_ops),
             newton_iters: iters,
         }
     }

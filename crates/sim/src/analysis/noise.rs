@@ -19,7 +19,6 @@ use crate::analysis::ac::build_ac_matrix;
 use crate::analysis::dc::DcOp;
 use crate::circuit::{Circuit, Element, Node};
 use crate::mna::{cap_list, Layout};
-use crate::probe::{Probe, SPAN_FACTOR, SPAN_SOLVE};
 use crate::solver::{CSparseWs, SolverKind};
 use crate::{SimError, KT};
 
@@ -95,7 +94,7 @@ impl NoiseAnalysis {
         );
         NoiseAnalysis {
             freqs,
-            solver: SolverKind::Auto,
+            solver: SolverKind::Sparse,
         }
     }
 
@@ -180,7 +179,6 @@ impl NoiseAnalysis {
         let mut contrib_power = vec![0.0; sources.len()];
         let mut psd_per_source = vec![vec![0.0; self.freqs.len()]; sources.len()];
 
-        let probe = Probe::current();
         let mut ws = CSparseWs::new(self.solver, ckt, &layout);
         let mut rhs = vec![Complex::ZERO; n];
         let mut xbuf: Vec<Complex> = Vec::with_capacity(n);
@@ -191,16 +189,14 @@ impl NoiseAnalysis {
             // extra right-hand side against the same factorization.
             let sparse_ok = ws
                 .as_mut()
-                .is_some_and(|w| w.factor_at(ckt, &layout, &op.mos_ops, &caps, omega, &probe));
+                .is_some_and(|w| w.factor_at(ckt, &layout, &op.mos_ops, &caps, omega));
             let dense_lu = if sparse_ok {
                 None
             } else {
-                let t = probe.start();
                 let a = build_ac_matrix(ckt, &layout, op, &caps, omega);
                 let lu = CLu::new(a).map_err(|_| SimError::SingularMatrix {
                     analysis: format!("noise @ {f} Hz"),
                 })?;
-                probe.span(SPAN_FACTOR, t);
                 Some(lu)
             };
             for (si, src) in sources.iter().enumerate() {
@@ -213,7 +209,6 @@ impl NoiseAnalysis {
                 if let Some(i) = bi {
                     rhs[i] -= Complex::ONE;
                 }
-                let t = probe.start();
                 let h2 = match (&dense_lu, ws.as_mut()) {
                     (Some(lu), _) => lu.solve(&rhs)?[out_idx].norm_sqr(),
                     (None, Some(w)) => {
@@ -222,7 +217,6 @@ impl NoiseAnalysis {
                     }
                     (None, None) => unreachable!("no factorization for this frequency"),
                 };
-                probe.span(SPAN_SOLVE, t);
                 if let Some(i) = ai {
                     rhs[i] = Complex::ZERO;
                 }

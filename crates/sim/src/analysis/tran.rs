@@ -5,11 +5,10 @@
 use crate::analysis::dc::{DcAnalysis, DcOp};
 use crate::circuit::{Circuit, Node};
 use crate::mna::{
-    assemble_resistive, cap_list, eval_mosfets_batched, ind_list, stamp_reactive, CapSpec, IndSpec,
-    Layout, MosEvalScratch, MosOpsMode, SlotStamp,
+    assemble_resistive, cap_list, eval_mosfets, ind_list, stamp_reactive, CapSpec, IndSpec, Layout,
+    SlotStamp,
 };
 use crate::mosfet::MosOp;
-use crate::probe::Probe;
 use crate::solver::{solve_newton_system, JacView, SolverKind, SolverWs, WarmstartKind};
 use crate::SimError;
 
@@ -52,7 +51,6 @@ struct TranScratch {
     f: Vec<f64>,
     neg_f: Vec<f64>,
     delta: Vec<f64>,
-    mos: MosEvalScratch,
     mos_ops: Vec<MosOp>,
     solver: SolverWs,
 }
@@ -71,7 +69,7 @@ impl TranAnalysis {
             method: Integrator::Trapezoidal,
             max_newton: 60,
             max_halvings: 14,
-            solver: SolverKind::Auto,
+            solver: SolverKind::Sparse,
             warmstart: WarmstartKind::Auto,
         }
     }
@@ -139,12 +137,10 @@ impl TranAnalysis {
         let mut h = self.dt;
         let h_min = self.dt / 2f64.powi(self.max_halvings as i32);
 
-        let probe = Probe::current();
         let mut ws = TranScratch {
             f: vec![0.0; n],
             neg_f: Vec::with_capacity(n),
             delta: Vec::with_capacity(n),
-            mos: MosEvalScratch::default(),
             mos_ops: Vec::with_capacity(layout.mos_elems.len()),
             solver: SolverWs::new(self.solver, ckt, &layout),
         };
@@ -174,8 +170,8 @@ impl TranAnalysis {
             };
 
             match self.newton_step(
-                ckt, &layout, &caps, &inds, &mut ws, &probe, &x_start, &cap_v, &cap_i, &ind_i,
-                &ind_v, t_next, h_eff,
+                ckt, &layout, &caps, &inds, &mut ws, &x_start, &cap_v, &cap_i, &ind_i, &ind_v,
+                t_next, h_eff,
             ) {
                 Ok(x_next) => {
                     // Update capacitor companion state.
@@ -236,7 +232,6 @@ impl TranAnalysis {
         caps: &[CapSpec],
         inds: &[IndSpec],
         ws: &mut TranScratch,
-        probe: &Probe,
         x_start: &[f64],
         cap_v: &[f64],
         cap_i: &[f64],
@@ -251,13 +246,12 @@ impl TranAnalysis {
                 f,
                 neg_f,
                 delta,
-                mos,
                 mos_ops,
                 solver,
             } = ws;
+            eval_mosfets(ckt, layout, &x, mos_ops);
             let mut assemble = |f: &mut [f64], jac: JacView<'_>| {
                 f.fill(0.0);
-                eval_mosfets_batched(ckt, layout, &x, mos, mos_ops);
                 match jac {
                     JacView::Dense(m) => {
                         assemble_resistive(
@@ -269,7 +263,7 @@ impl TranAnalysis {
                             Some(t_next),
                             f,
                             m,
-                            MosOpsMode::Precomputed(mos_ops.as_slice()),
+                            mos_ops,
                         );
                         stamp_reactive(
                             caps,
@@ -296,7 +290,7 @@ impl TranAnalysis {
                             Some(t_next),
                             f,
                             &mut st,
-                            MosOpsMode::Precomputed(mos_ops.as_slice()),
+                            mos_ops,
                         );
                         st.finish();
                         let mut st = SlotStamp::new(vals, &topo.reactive_slots);
@@ -317,7 +311,7 @@ impl TranAnalysis {
                     }
                 }
             };
-            solve_newton_system(solver, "tran", probe, f, neg_f, delta, &mut assemble)?;
+            solve_newton_system(solver, "tran", f, neg_f, delta, &mut assemble)?;
             let max_step = delta.iter().fold(0.0_f64, |m, d| m.max(d.abs()));
             if !max_step.is_finite() {
                 return Err(SimError::NoConvergence {

@@ -1,24 +1,18 @@
-//! Solver sub-phase tracing: `sim.assemble` / `sim.factor` / `sim.solve`
-//! spans emitted into the ambient flight recorder.
+//! Per-DC-solve observability: `sim.dc.{warm,fallback,cold}` spans into
+//! the ambient flight recorder, plus the Newton-iteration histogram and
+//! warm-start counters into the ambient metrics registry.
 //!
-//! `maopt-exec` installs the active `TraceRecorder` in a thread-local
-//! around each `Problem::evaluate` call (see `maopt_exec::trace::ambient`);
-//! the analyses capture it once per run through [`Probe::current`] and
-//! emit one span per Newton-iteration phase. With tracing off every probe
-//! call is a branch on `None`, and tracing never feeds back into the
+//! `maopt-exec` installs the active `TraceRecorder` and `MetricsRegistry`
+//! in thread-locals around each `Problem::evaluate` call (see
+//! `maopt_exec::trace::ambient`); the DC analysis captures them once per
+//! solve through [`Probe::current`]. With both sinks absent every probe
+//! call is a branch on `None`, and observation never feeds back into the
 //! computation, so journal byte-identity is unaffected.
 
 use std::sync::Arc;
 
 use maopt_exec::metrics::MetricsRegistry;
 use maopt_exec::trace::TraceRecorder;
-
-/// Span name for system assembly (device eval + stamping).
-pub(crate) const SPAN_ASSEMBLE: &str = "sim.assemble";
-/// Span name for the LU factorization.
-pub(crate) const SPAN_FACTOR: &str = "sim.factor";
-/// Span name for the triangular solves.
-pub(crate) const SPAN_SOLVE: &str = "sim.solve";
 
 /// Handle to the ambient trace recorder and metrics registry; all
 /// methods are no-ops when the respective sink is absent.

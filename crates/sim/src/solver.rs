@@ -8,11 +8,11 @@
 //!   pivot-free numeric refactor per iteration. Deterministic: the FP
 //!   operation sequence is a pure function of topology, never of values
 //!   or thread count.
-//! * **Dense**: the original partial-pivoting LU, kept as a debug
-//!   cross-check (`MAOPT_SIM_SOLVER=dense`) and as the per-iteration
-//!   fallback when the pivot-free factorization hits a tiny pivot — so
-//!   genuinely singular systems surface exactly the same errors on both
-//!   backends.
+//! * **Dense**: the original partial-pivoting LU, kept as the reference
+//!   the agreement tests compare against ([`SolverKind::Dense`]) and as
+//!   the per-iteration fallback when the pivot-free factorization hits a
+//!   tiny pivot — so genuinely singular systems surface exactly the same
+//!   errors on both backends.
 //!
 //! Neither backend allocates per iteration in steady state: the dense
 //! path reuses its matrix + factor buffers ([`maopt_linalg::Lu::refactor_from`]),
@@ -26,46 +26,18 @@ use crate::analysis::ac::assemble_ac;
 use crate::circuit::Circuit;
 use crate::mna::{CSlotStamp, CapSpec, Layout};
 use crate::mosfet::MosOp;
-use crate::probe::{Probe, SPAN_ASSEMBLE, SPAN_FACTOR, SPAN_SOLVE};
 use crate::topology::{topology_for, Topology};
 use crate::SimError;
 
 /// Which linear solver backs an analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
-    /// Honor the `MAOPT_SIM_SOLVER` environment variable (`sparse` when
-    /// unset). The default.
+    /// The sparse path: per-topology symbolic factorization reuse. The
+    /// default.
     #[default]
-    Auto,
-    /// The sparse path: per-topology symbolic factorization reuse.
     Sparse,
-    /// The dense partial-pivoting path (debug cross-check).
+    /// The dense partial-pivoting path (the test reference).
     Dense,
-}
-
-impl SolverKind {
-    /// Resolves to a concrete backend choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `MAOPT_SIM_SOLVER` is set to anything other than
-    /// `sparse` or `dense` (misconfiguration must not silently change
-    /// numerics).
-    pub(crate) fn use_sparse(self) -> bool {
-        match self {
-            SolverKind::Sparse => true,
-            SolverKind::Dense => false,
-            SolverKind::Auto => {
-                static CHOICE: OnceLock<bool> = OnceLock::new();
-                *CHOICE.get_or_init(|| match std::env::var("MAOPT_SIM_SOLVER") {
-                    Err(_) => true,
-                    Ok(v) if v.eq_ignore_ascii_case("sparse") => true,
-                    Ok(v) if v.eq_ignore_ascii_case("dense") => false,
-                    Ok(v) => panic!("MAOPT_SIM_SOLVER must be `sparse` or `dense`, got `{v}`"),
-                })
-            }
-        }
-    }
 }
 
 /// Whether an analysis may start Newton from caller-provided state (a
@@ -161,7 +133,7 @@ impl SolverWs {
     /// topology admits no symbolic factorization (the dense solve then
     /// reports the structural singularity).
     pub fn new(kind: SolverKind, ckt: &Circuit, layout: &Layout) -> SolverWs {
-        if kind.use_sparse() {
+        if kind == SolverKind::Sparse {
             let topo = topology_for(ckt, layout);
             if let Some(sym) = topo.symbolic.clone() {
                 let mat = SparseMat::zeros(Arc::clone(&topo.pattern));
@@ -197,7 +169,6 @@ fn fill_neg(f: &[f64], neg_f: &mut Vec<f64>) {
 pub(crate) fn solve_newton_system(
     ws: &mut SolverWs,
     analysis: &str,
-    probe: &Probe,
     f: &mut [f64],
     neg_f: &mut Vec<f64>,
     delta: &mut Vec<f64>,
@@ -205,17 +176,11 @@ pub(crate) fn solve_newton_system(
 ) -> Result<(), SimError> {
     match ws {
         SolverWs::Dense(d) => {
-            let t = probe.start();
             d.jac.fill_zero();
             assemble(f, JacView::Dense(&mut d.jac));
-            probe.span(SPAN_ASSEMBLE, t);
-            let t = probe.start();
             d.lu.refactor_from(&d.jac).map_err(|_| singular(analysis))?;
-            probe.span(SPAN_FACTOR, t);
-            let t = probe.start();
             fill_neg(f, neg_f);
             d.lu.solve_into(neg_f, delta)?;
-            probe.span(SPAN_SOLVE, t);
         }
         SolverWs::Sparse {
             topo,
@@ -223,7 +188,6 @@ pub(crate) fn solve_newton_system(
             lu,
             fallback,
         } => {
-            let t = probe.start();
             mat.fill_zero();
             assemble(
                 f,
@@ -232,14 +196,9 @@ pub(crate) fn solve_newton_system(
                     topo,
                 },
             );
-            probe.span(SPAN_ASSEMBLE, t);
-            let t = probe.start();
             if lu.factor(mat).is_ok() {
-                probe.span(SPAN_FACTOR, t);
-                let t = probe.start();
                 fill_neg(f, neg_f);
                 lu.solve_into(neg_f, delta)?;
-                probe.span(SPAN_SOLVE, t);
             } else {
                 // The pivot-free elimination hit a tiny pivot: retry this
                 // iteration on the dense pivoting solver. A genuinely
@@ -249,11 +208,8 @@ pub(crate) fn solve_newton_system(
                 d.jac.fill_zero();
                 assemble(f, JacView::Dense(&mut d.jac));
                 d.lu.refactor_from(&d.jac).map_err(|_| singular(analysis))?;
-                probe.span(SPAN_FACTOR, t);
-                let t = probe.start();
                 fill_neg(f, neg_f);
                 d.lu.solve_into(neg_f, delta)?;
-                probe.span(SPAN_SOLVE, t);
             }
         }
     }
@@ -270,11 +226,11 @@ pub(crate) struct CSparseWs {
 }
 
 impl CSparseWs {
-    /// `Some` when `kind` resolves to sparse and the topology admits a
+    /// `Some` when `kind` is sparse and the topology admits a
     /// symbolic factorization; `None` sends the caller down the dense
     /// path.
     pub fn new(kind: SolverKind, ckt: &Circuit, layout: &Layout) -> Option<CSparseWs> {
-        if !kind.use_sparse() {
+        if kind == SolverKind::Dense {
             return None;
         }
         let topo = topology_for(ckt, layout);
@@ -296,19 +252,11 @@ impl CSparseWs {
         mos_ops: &[MosOp],
         caps: &[CapSpec],
         omega: f64,
-        probe: &Probe,
     ) -> bool {
-        let t = probe.start();
         self.mat.fill_zero();
         let mut st = CSlotStamp::new(self.mat.values_mut(), &self.topo.ac_slots);
         assemble_ac(ckt, layout, mos_ops, caps, omega, &mut st);
         st.finish();
-        probe.span(SPAN_ASSEMBLE, t);
-        let t = probe.start();
-        let ok = self.lu.factor(&self.mat).is_ok();
-        if ok {
-            probe.span(SPAN_FACTOR, t);
-        }
-        ok
+        self.lu.factor(&self.mat).is_ok()
     }
 }

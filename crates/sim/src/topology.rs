@@ -31,9 +31,7 @@ use maopt_linalg::{SparsityPattern, SymbolicLu};
 use crate::analysis::ac::assemble_ac;
 use crate::analysis::tran::Integrator;
 use crate::circuit::Circuit;
-use crate::mna::{
-    assemble_resistive, cap_list, ind_list, CStampCollector, Layout, MosOpsMode, StampCollector,
-};
+use crate::mna::{assemble_resistive, cap_list, ind_list, CStampCollector, Layout, StampCollector};
 use crate::mosfet::{MosOp, MosRegion};
 
 /// Cached per-topology sparse-solver data.
@@ -53,8 +51,8 @@ pub(crate) struct Topology {
     pub ac_slots: Vec<u32>,
 }
 
-/// Operating-point placeholder used when collecting the AC stamp
-/// sequence (only the *positions* of the stamps are recorded).
+/// Operating-point placeholder used when collecting the resistive and AC
+/// stamp sequences (only the *positions* of the stamps are recorded).
 const DUMMY_OP: MosOp = MosOp {
     id: 0.0,
     gm: 0.0,
@@ -95,6 +93,7 @@ fn build_topology(ckt: &Circuit, layout: &Layout) -> Topology {
     let mut f = vec![0.0; n];
     let caps = cap_list(ckt);
     let inds = ind_list(ckt, layout);
+    let dummy_ops = vec![DUMMY_OP; layout.mos_elems.len()];
 
     let mut resistive = StampCollector::default();
     assemble_resistive(
@@ -106,7 +105,7 @@ fn build_topology(ckt: &Circuit, layout: &Layout) -> Topology {
         None,
         &mut f,
         &mut resistive,
-        MosOpsMode::Inline,
+        &dummy_ops,
     );
 
     let mut reactive = StampCollector::default();
@@ -128,7 +127,6 @@ fn build_topology(ckt: &Circuit, layout: &Layout) -> Topology {
     );
 
     let mut ac = CStampCollector::default();
-    let dummy_ops = vec![DUMMY_OP; layout.mos_elems.len()];
     assemble_ac(ckt, layout, &dummy_ops, &caps, 1.0, &mut ac);
 
     let mut entries =
