@@ -51,7 +51,9 @@ use maopt_core::chaos::ChaoticProblem;
 use maopt_core::runner::{make_initial_sets_nested, run_method_resumable, MethodStats};
 use maopt_core::{RunCheckpointer, SizingProblem};
 use maopt_exec::chaos::ChaosConfig;
-use maopt_exec::{EvalEngine, FaultPolicy, MetricSnapshot, SimCache, Telemetry, TraceRecorder};
+use maopt_exec::{
+    span_delta, EvalEngine, FaultPolicy, MetricSnapshot, SimCache, Telemetry, TraceRecorder,
+};
 use maopt_obs::{EngineRecord, Journal, Record};
 use maopt_serve::{install_signal_flag, signal_flag};
 
@@ -300,7 +302,6 @@ fn run_circuit(
         };
         let spans_before = engine.telemetry().spans();
         let newton_before = newton_iters_totals(&engine);
-        let t0 = Instant::now();
         let stats = run_method_resumable(
             method.as_ref(),
             problem,
@@ -313,7 +314,13 @@ fn run_circuit(
             &journals,
             &ckpts,
         );
-        let elapsed = t0.elapsed();
+        // Wall time: the growth of the `method:<name>` span that
+        // `run_method_resumable` opens around the method's runs.
+        let elapsed = span_delta(
+            &spans_before,
+            &engine.telemetry().spans(),
+            &format!("method:{}", method.name()),
+        );
         // Graceful drain: the signal handler raised the flag, every run
         // stopped at a round boundary with journal flushed + checkpoint
         // durable. Close the journal writers and exit 0 — the partial
@@ -490,18 +497,12 @@ fn write_engine_record(
     spans_before: &[(String, Duration)],
     stats: &MethodStats,
 ) {
-    let before: std::collections::BTreeMap<&str, Duration> = spans_before
+    let after = engine.telemetry().spans();
+    let spans: Vec<(String, f64)> = after
         .iter()
-        .map(|(name, d)| (name.as_str(), *d))
-        .collect();
-    let spans: Vec<(String, f64)> = engine
-        .telemetry()
-        .spans()
-        .into_iter()
-        .filter_map(|(name, total)| {
-            let delta =
-                total.saturating_sub(before.get(name.as_str()).copied().unwrap_or_default());
-            (delta > Duration::ZERO).then_some((name, delta.as_secs_f64()))
+        .filter_map(|(name, _)| {
+            let delta = span_delta(spans_before, &after, name);
+            (delta > Duration::ZERO).then(|| (name.clone(), delta.as_secs_f64()))
         })
         .collect();
     match Journal::create(dir.join("engine.jsonl")) {

@@ -53,10 +53,7 @@ fn normalized_lines(path: &Path) -> Vec<String> {
         .lines()
         .map(|line| match Record::parse(line) {
             Ok(Record::RunEnd(mut end)) => {
-                end.total_s = 0.0;
-                end.training_s = 0.0;
-                end.simulation_s = 0.0;
-                end.near_sampling_s = 0.0;
+                end.zero_timing();
                 Record::RunEnd(end).to_json_line()
             }
             _ => line.to_string(),

@@ -124,7 +124,7 @@ impl Optimizer for BoOptimizer {
         engine: &EvalEngine,
     ) -> RunResult {
         let t_start = Instant::now();
-        let mut timings = RunTimings::default();
+        let spans_start = engine.telemetry().spans();
         let specs = problem.specs().to_vec();
         let d = problem.dim();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -140,10 +140,11 @@ impl Optimizer for BoOptimizer {
         for _ in 0..budget {
             // Fit the GP to (designs, FoM) — the O(N³) step the paper
             // calls out.
-            let t0 = Instant::now();
-            let xs: Vec<Vec<f64>> = (0..pop.len()).map(|i| pop.design(i).to_vec()).collect();
-            let ys: Vec<f64> = pop.foms().to_vec();
-            let gp = GaussianProcess::fit(xs, ys);
+            let gp = {
+                let _span = engine.telemetry().span("gp_fit");
+                let xs: Vec<Vec<f64>> = (0..pop.len()).map(|i| pop.design(i).to_vec()).collect();
+                GaussianProcess::fit(xs, pop.foms().to_vec())
+            };
             let best = pop.foms().iter().copied().fold(f64::INFINITY, f64::min);
 
             // Maximize EI over random candidates. All candidates come from
@@ -171,14 +172,11 @@ impl Optimizer for BoOptimizer {
                 .into_iter()
                 .nth(best_k)
                 .expect("candidate set is non-empty");
-            timings.training += t0.elapsed();
 
-            let t0 = Instant::now();
             let metrics = {
                 let _span = engine.telemetry().span("simulation");
                 engine.evaluate_one(&sim_target, &cand)
             };
-            timings.simulation += t0.elapsed();
 
             let idx = pop.push(cand, metrics, &specs, self.fom);
             trace.record(
@@ -189,12 +187,15 @@ impl Optimizer for BoOptimizer {
             );
         }
 
-        timings.total = t_start.elapsed();
         RunResult {
             label: self.name(),
             trace,
             population: pop,
-            timings,
+            timings: RunTimings::from_spans(
+                &spans_start,
+                &engine.telemetry().spans(),
+                t_start.elapsed(),
+            ),
         }
     }
 }
@@ -262,6 +263,33 @@ mod tests {
         let a = bo.optimize(&problem, &init, 5, 9);
         let b = bo.optimize(&problem, &init, 5, 9);
         assert_eq!(a.trace.best_fom_series(5), b.trace.best_fom_series(5));
+    }
+
+    #[test]
+    fn timings_are_the_span_deltas() {
+        let problem = Sphere::new(3);
+        let init = sample_initial_set(&problem, 12, 8);
+        let bo = BoOptimizer {
+            n_candidates: 200,
+            ..BoOptimizer::new()
+        };
+        let engine = EvalEngine::serial();
+        let result = bo.optimize_with(&problem, &init, 6, 8, &engine);
+        let span = |name: &str| {
+            engine
+                .telemetry()
+                .spans()
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0.0, |(_, d)| d.as_secs_f64())
+        };
+        let t = result.timings;
+        assert!(span("gp_fit") > 0.0 && span("bo_acquisition") > 0.0);
+        let training = span("gp_fit") + span("bo_acquisition");
+        assert!((t.training.as_secs_f64() - training).abs() < 1e-6, "{t:?}");
+        assert!((t.simulation.as_secs_f64() - span("simulation")).abs() < 1e-6);
+        assert_eq!(t.near_sampling, std::time::Duration::ZERO);
+        assert!(t.total >= t.training + t.simulation);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! The paper's §I argument against these population methods is their *low
 //! convergence rate* at small simulation budgets — easily verified here by
 //! adding them to a comparison (see the `compare_methods` example).
+//!
+//! They call `problem.evaluate` directly, with no engine and so no spans,
+//! and report only their wall-clock total in [`RunTimings`].
 
 use std::time::Instant;
 
@@ -55,12 +58,9 @@ impl Optimizer for RandomSearch {
             trace.record_init(pop.fom(idx), pop.feasible(idx), pop.metrics(idx)[0]);
         }
         let d = problem.dim();
-        let mut timings = RunTimings::default();
         for _ in 0..budget {
             let x: Vec<f64> = (0..d).map(|_| rng.random_range(0.0..1.0)).collect();
-            let s0 = Instant::now();
             let m = problem.evaluate(&x);
-            timings.simulation += s0.elapsed();
             let idx = pop.push(x, m, &specs, fom_cfg);
             trace.record(
                 SimKind::Baseline,
@@ -69,12 +69,14 @@ impl Optimizer for RandomSearch {
                 pop.metrics(idx)[0],
             );
         }
-        timings.total = t0.elapsed();
         RunResult {
             label: self.name(),
             trace,
             population: pop,
-            timings,
+            timings: RunTimings {
+                total: t0.elapsed(),
+                ..RunTimings::default()
+            },
         }
     }
 }
@@ -156,7 +158,6 @@ impl Optimizer for ParticleSwarm {
             (pop.design(b).to_vec(), pop.fom(b))
         };
 
-        let mut timings = RunTimings::default();
         let mut sims = 0usize;
         'outer: loop {
             for k in 0..self.swarm {
@@ -173,9 +174,7 @@ impl Optimizer for ParticleSwarm {
                     vel[k][t] = vel[k][t].clamp(-0.25, 0.25);
                     xs[k][t] = (xs[k][t] + vel[k][t]).clamp(0.0, 1.0);
                 }
-                let s0 = Instant::now();
                 let m = problem.evaluate(&xs[k]);
-                timings.simulation += s0.elapsed();
                 let idx = pop.push(xs[k].clone(), m, &specs, fom_cfg);
                 trace.record(
                     SimKind::Baseline,
@@ -195,12 +194,14 @@ impl Optimizer for ParticleSwarm {
                 }
             }
         }
-        timings.total = t0.elapsed();
         RunResult {
             label: self.name(),
             trace,
             population: pop,
-            timings,
+            timings: RunTimings {
+                total: t0.elapsed(),
+                ..RunTimings::default()
+            },
         }
     }
 }
@@ -268,7 +269,6 @@ impl Optimizer for DifferentialEvolution {
             fs.push(f64::INFINITY);
         }
 
-        let mut timings = RunTimings::default();
         let mut sims = 0usize;
         'outer: loop {
             for k in 0..self.np {
@@ -290,9 +290,7 @@ impl Optimizer for DifferentialEvolution {
                         trial[t] = (xs[a][t] + self.f * (xs[b][t] - xs[c][t])).clamp(0.0, 1.0);
                     }
                 }
-                let s0 = Instant::now();
                 let m = problem.evaluate(&trial);
-                timings.simulation += s0.elapsed();
                 let idx = pop.push(trial.clone(), m, &specs, fom_cfg);
                 trace.record(
                     SimKind::Baseline,
@@ -308,12 +306,14 @@ impl Optimizer for DifferentialEvolution {
                 }
             }
         }
-        timings.total = t0.elapsed();
         RunResult {
             label: self.name(),
             trace,
             population: pop,
-            timings,
+            timings: RunTimings {
+                total: t0.elapsed(),
+                ..RunTimings::default()
+            },
         }
     }
 }

@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use maopt_ckpt::RunSnapshot;
-use maopt_exec::{quantize, CounterSnapshot, EvalEngine, OpState};
+use maopt_exec::{quantize, span_delta, CounterSnapshot, EvalEngine, OpState};
 use maopt_obs::json::Json;
 use maopt_obs::{
     ActorRound, EliteStats, Journal, Manifest, NearSamplingRecord, Record, RoundRecord, RunEnd,
@@ -155,12 +155,68 @@ impl MaOptConfig {
 pub struct RunTimings {
     /// Wall-clock total.
     pub total: Duration,
-    /// Time spent training networks.
+    /// Time spent training networks and fitting surrogates.
     pub training: Duration,
     /// Time spent in circuit simulations.
     pub simulation: Duration,
     /// Time spent in near-sampling proposal generation.
     pub near_sampling: Duration,
+}
+
+impl RunTimings {
+    /// The phase times of one stretch of a run: how much the engine's
+    /// span totals grew from `before` to `after` (two
+    /// [`maopt_exec::Telemetry::spans`] readings), with `wall` as the
+    /// total. Training is `critic_training + elite_rebuild +
+    /// actor_training + gp_fit + bo_acquisition`; simulation and
+    /// near-sampling are their namesake spans.
+    ///
+    /// Spans are per telemetry, so two runs sharing one telemetry at the
+    /// same time would see each other's time; the runner gives each run
+    /// its own ([`maopt_exec::Telemetry::isolated`]).
+    pub fn from_spans(
+        before: &[(String, Duration)],
+        after: &[(String, Duration)],
+        wall: Duration,
+    ) -> RunTimings {
+        let delta = |names: &[&str]| names.iter().map(|n| span_delta(before, after, n)).sum();
+        RunTimings {
+            total: wall,
+            training: delta(&[
+                "critic_training",
+                "elite_rebuild",
+                "actor_training",
+                "gp_fit",
+                "bo_acquisition",
+            ]),
+            simulation: delta(&["simulation"]),
+            near_sampling: delta(&["near_sampling"]),
+        }
+    }
+
+    /// `[total, training, simulation, near_sampling]` in seconds — the
+    /// checkpoint and run-end layout.
+    pub fn as_secs(&self) -> [f64; 4] {
+        [
+            self.total,
+            self.training,
+            self.simulation,
+            self.near_sampling,
+        ]
+        .map(|d| d.as_secs_f64())
+    }
+
+    /// Phase-wise sum: a resumed run's timings are its checkpoint's plus
+    /// the time since the resume.
+    #[must_use]
+    fn plus(self, other: RunTimings) -> RunTimings {
+        RunTimings {
+            total: self.total + other.total,
+            training: self.training + other.training,
+            simulation: self.simulation + other.simulation,
+            near_sampling: self.near_sampling + other.near_sampling,
+        }
+    }
 }
 
 /// Outcome of one optimization run.
@@ -319,7 +375,7 @@ impl MaOpt {
         let sim_target = EngineProblem(problem);
         let cfg = &self.config;
         let t_start = Instant::now();
-        let mut timings = RunTimings::default();
+        let spans_start = engine.telemetry().spans();
         let specs = problem.specs().to_vec();
         let d = problem.dim();
         let m1 = problem.num_metrics();
@@ -375,7 +431,7 @@ impl MaOpt {
         // accumulated by the run's previous life.
         let mut journal_lines: Vec<String> = Vec::new();
         let mut counters_base = CounterSnapshot::default();
-        let mut total_base = Duration::ZERO;
+        let mut timings_base = RunTimings::default();
 
         if let Some(snap) = ckpt.and_then(|c| c.load_for_resume()) {
             assert_eq!(snap.label, cfg.label, "checkpoint label mismatch");
@@ -448,10 +504,14 @@ impl MaOpt {
                 non_finite: snap.counters[6],
                 failures: snap.counters[7],
             };
-            total_base = Duration::from_secs_f64(snap.timings[0]);
-            timings.training = Duration::from_secs_f64(snap.timings[1]);
-            timings.simulation = Duration::from_secs_f64(snap.timings[2]);
-            timings.near_sampling = Duration::from_secs_f64(snap.timings[3]);
+            let [total, training, simulation, near_sampling] =
+                snap.timings.map(Duration::from_secs_f64);
+            timings_base = RunTimings {
+                total,
+                training,
+                simulation,
+                near_sampling,
+            };
             prev_elite = snap.prev_elite;
             op_store = OpStore::restore(op_store.capacity(), snap.op_store);
             for line in &snap.journal_lines {
@@ -485,6 +545,15 @@ impl MaOpt {
                 );
             }
         }
+        // The run's timings so far: the previous life's plus this one's
+        // span deltas.
+        let timings = || {
+            timings_base.plus(RunTimings::from_spans(
+                &spans_start,
+                &engine.telemetry().spans(),
+                t_start.elapsed(),
+            ))
+        };
 
         while sims_used < budget {
             t += 1;
@@ -500,14 +569,11 @@ impl MaOpt {
                 let best_idx = pop.best().expect("non-empty population");
                 let incumbent_fom = pop.fom(best_idx);
                 let x_opt = pop.design(best_idx).to_vec();
-                let t0 = Instant::now();
                 let (cand, predicted_fom) = {
                     let _span = engine.telemetry().span("near_sampling");
                     ns.propose_scored_with(&critic, &x_opt, &specs, cfg.fom, &mut rng, engine)
                 };
-                timings.near_sampling += t0.elapsed();
 
-                let t0 = Instant::now();
                 // Near-sampling candidates live within δ of the incumbent, so
                 // the incumbent's stored operating point is the natural seed.
                 let ns_seed = op_store.get(&x_opt).cloned();
@@ -515,7 +581,6 @@ impl MaOpt {
                     let _span = engine.telemetry().span("simulation");
                     engine.evaluate_one_seeded(&sim_target, &cand, ns_seed.as_ref())
                 };
-                timings.simulation += t0.elapsed();
 
                 if let Some(state) = op_state {
                     op_store.insert(&cand, state);
@@ -557,37 +622,33 @@ impl MaOpt {
                 }
             } else {
                 // ---- Algorithm 1: actor-critic round (N_act simulations). ----
-                let t0 = Instant::now();
-                critic.refit_scaler(&pop);
                 let mut critic_trace: Option<Vec<f64>> = journal.enabled().then(Vec::new);
-                let critic_loss = critic.train_traced(
-                    &pop,
-                    cfg.critic_steps,
-                    cfg.batch_size,
-                    &mut rng,
-                    critic_trace.as_mut(),
-                );
+                let critic_loss = {
+                    let _span = engine.telemetry().span("critic_training");
+                    critic.refit_scaler(&pop);
+                    critic.train_traced(
+                        &pop,
+                        cfg.critic_steps,
+                        cfg.batch_size,
+                        &mut rng,
+                        critic_trace.as_mut(),
+                    )
+                };
                 critic_ready = true;
 
                 // Elite sets (shared: one; individual: per actor).
-                let shared_elite = if cfg.shared_elite {
-                    let mut es = EliteSet::new(cfg.n_es);
-                    es.rebuild(&pop, None);
-                    Some(es)
-                } else {
-                    None
-                };
-                let individual_elites: Vec<EliteSet> = if cfg.shared_elite {
-                    Vec::new()
-                } else {
-                    visible
-                        .iter()
-                        .map(|vis| {
-                            let mut es = EliteSet::new(cfg.n_es);
-                            es.rebuild(&pop, Some(vis));
-                            es
-                        })
-                        .collect()
+                let (shared_elite, individual_elites) = {
+                    let _span = engine.telemetry().span("elite_rebuild");
+                    let build = |vis: Option<&[usize]>| {
+                        let mut es = EliteSet::new(cfg.n_es);
+                        es.rebuild(&pop, vis);
+                        es
+                    };
+                    if cfg.shared_elite {
+                        (Some(build(None)), Vec::new())
+                    } else {
+                        (None, visible.iter().map(|vis| build(Some(vis))).collect())
+                    }
                 };
 
                 let n_props = cfg.n_actors.min(budget - sims_used);
@@ -643,10 +704,8 @@ impl MaOpt {
                         (cand, loss, pred, elite.designs()[parent].clone())
                     })
                 };
-                timings.training += t0.elapsed();
 
                 // Simulate the first `n_props` proposals on the pool.
-                let t0 = Instant::now();
                 let to_run: Vec<Vec<f64>> = lane_results[..n_props]
                     .iter()
                     .map(|(cand, _, _, _)| cand.clone())
@@ -673,7 +732,6 @@ impl MaOpt {
                     let _span = engine.telemetry().span("simulation");
                     engine.evaluate_batch_seeded(&sim_target, &to_run, &seed_refs)
                 };
-                timings.simulation += t0.elapsed();
 
                 let mut pushed = Vec::with_capacity(n_props);
                 for (i, (cand, (metrics, op_state))) in to_run.into_iter().zip(results).enumerate()
@@ -794,12 +852,7 @@ impl MaOpt {
                         counters.non_finite,
                         counters.failures,
                     ],
-                    timings: [
-                        (total_base + t_start.elapsed()).as_secs_f64(),
-                        timings.training.as_secs_f64(),
-                        timings.simulation.as_secs_f64(),
-                        timings.near_sampling.as_secs_f64(),
-                    ],
+                    timings: timings().as_secs(),
                     journal_lines: journal_lines.clone(),
                     op_store: op_store
                         .entries()
@@ -815,20 +868,19 @@ impl MaOpt {
                 // and a journal without a run-end record, resumable
                 // bitwise-identically.
                 if c.halt_after_round() == Some(t) || c.stop_requested() {
-                    timings.total = total_base + t_start.elapsed();
                     return RunResult {
                         label: cfg.label.clone(),
                         trace,
                         population: pop,
-                        timings,
+                        timings: timings(),
                     };
                 }
             }
         }
 
-        timings.total = total_base + t_start.elapsed();
-
+        let timings = timings();
         if journal.enabled() {
+            let [total_s, training_s, simulation_s, near_sampling_s] = timings.as_secs();
             emit(
                 journal,
                 &Record::RunEnd(RunEnd {
@@ -836,10 +888,10 @@ impl MaOpt {
                     sims: sims_used,
                     best_fom: trace.best_fom(),
                     success: pop.best_feasible().is_some(),
-                    total_s: timings.total.as_secs_f64(),
-                    training_s: timings.training.as_secs_f64(),
-                    simulation_s: timings.simulation.as_secs_f64(),
-                    near_sampling_s: timings.near_sampling.as_secs_f64(),
+                    total_s,
+                    training_s,
+                    simulation_s,
+                    near_sampling_s,
                     engine: counters_base.plus(&engine.telemetry().snapshot().since(&run_counters)),
                 }),
                 ckpt.and(Some(&mut journal_lines)),
@@ -1062,8 +1114,17 @@ mod tests {
     fn timings_are_recorded() {
         let problem = Sphere::new(2);
         let init = sample_initial_set(&problem, 10, 6);
-        let result = MaOpt::new(small(MaOptConfig::ma_opt2(6))).run(&problem, init, 4);
+        let engine = EvalEngine::default();
+        let result =
+            MaOpt::new(small(MaOptConfig::ma_opt2(6))).run_with(&problem, init, 4, &engine);
         assert!(result.timings.total > Duration::ZERO);
         assert!(result.timings.training > Duration::ZERO);
+        let spans = engine.telemetry().spans();
+        for phase in ["critic_training", "actor_training"] {
+            assert!(
+                spans.iter().any(|(n, d)| n == phase && *d > Duration::ZERO),
+                "{phase} span recorded: {spans:?}"
+            );
+        }
     }
 }

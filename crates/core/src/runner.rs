@@ -83,15 +83,16 @@ pub trait Optimizer: Send + Sync {
         }));
         let before = engine.telemetry().snapshot();
         let result = self.optimize_with(problem, init, budget, seed, engine);
+        let [total_s, training_s, simulation_s, near_sampling_s] = result.timings.as_secs();
         journal.write(&Record::RunEnd(RunEnd {
             rounds: 0, // unknown for un-instrumented optimizers
             sims: result.trace.num_sims(),
             best_fom: result.best_fom(),
             success: result.success(),
-            total_s: result.timings.total.as_secs_f64(),
-            training_s: result.timings.training.as_secs_f64(),
-            simulation_s: result.timings.simulation.as_secs_f64(),
-            near_sampling_s: result.timings.near_sampling.as_secs_f64(),
+            total_s,
+            training_s,
+            simulation_s,
+            near_sampling_s,
             engine: engine.telemetry().snapshot().since(&before),
         }));
         journal.flush();

@@ -45,10 +45,7 @@ fn normalized_lines(path: &std::path::Path) -> Vec<String> {
         .lines()
         .map(|line| match Record::parse(line) {
             Ok(Record::RunEnd(mut end)) => {
-                end.total_s = 0.0;
-                end.training_s = 0.0;
-                end.simulation_s = 0.0;
-                end.near_sampling_s = 0.0;
+                end.zero_timing();
                 Record::RunEnd(end).to_json_line()
             }
             _ => line.to_string(),
@@ -154,6 +151,58 @@ fn resumed_run_is_byte_identical_to_uninterrupted() {
         resumed.trace.best_fom_series(40)
     );
     assert_eq!(reference.population.len(), resumed.population.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resumed_run_end_carries_the_checkpointed_timings() {
+    // A resumed run's timings are its snapshot's plus the time since the
+    // resume, so its run end can never read less than the snapshot.
+    let dir = tmp_dir("timings");
+    let problem = ConstrainedToy::new(3);
+    let cfg = small(MaOptConfig::ma_opt(9));
+    let init = sample_initial_set(&problem, 30, 9);
+    let ckpt_path = dir.join("run.ckpt");
+
+    let ckpt = RunCheckpointer::new(&ckpt_path).with_halt_after_round(4);
+    MaOpt::new(cfg.clone()).run_resumable(
+        &problem,
+        init.clone(),
+        40,
+        &EvalEngine::serial(),
+        &Journal::disabled(),
+        Some(&ckpt),
+    );
+    let snap = maopt_ckpt::load_snapshot_gen(&maopt_ckpt::snapshot_store(&ckpt_path))
+        .unwrap()
+        .expect("the halted run left a snapshot")
+        .value;
+    assert!(snap.timings[1] > 0.0, "four rounds of training: {snap:?}");
+
+    let res_path = dir.join("resumed.jsonl");
+    let journal = Journal::create(&res_path).unwrap();
+    let ckpt = RunCheckpointer::new(&ckpt_path).with_resume(true);
+    MaOpt::new(cfg).run_resumable(
+        &problem,
+        init,
+        40,
+        &EvalEngine::serial(),
+        &journal,
+        Some(&ckpt),
+    );
+    drop(journal);
+
+    let end = run_end(&res_path);
+    assert!(
+        end.total_s >= snap.timings[0],
+        "{end:?} vs {:?}",
+        snap.timings
+    );
+    assert!(
+        end.training_s >= snap.timings[1],
+        "{end:?} vs {:?}",
+        snap.timings
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -149,12 +149,7 @@ fn normalize(records: &mut [Record]) {
     for rec in records {
         match rec {
             Record::Manifest(m) => m.jobs = 0,
-            Record::RunEnd(e) => {
-                e.total_s = 0.0;
-                e.training_s = 0.0;
-                e.simulation_s = 0.0;
-                e.near_sampling_s = 0.0;
-            }
+            Record::RunEnd(e) => e.zero_timing(),
             _ => {}
         }
     }

@@ -114,6 +114,52 @@ fn journal_from_real_run_is_schema_valid_and_complete() {
 }
 
 #[test]
+fn run_end_phase_times_are_the_engine_span_sums() {
+    let problem = ConstrainedToy::new(3);
+    let inits = make_initial_sets(&problem, 1, 25, 32);
+    let opt = tiny(MaOptConfig::ma_opt(32));
+    // A fresh engine: its spans hold this one run and nothing else.
+    let engine = EvalEngine::serial();
+
+    let dir = tmp_dir("span-sums");
+    let journals = vec![Journal::create(dir.join("run0.jsonl")).unwrap()];
+    run_method_observed(&opt, &problem, &inits, 1, 24, 32, &engine, &journals);
+    drop(journals);
+
+    let Some(Record::RunEnd(end)) = read_journal(dir.join("run0.jsonl")).unwrap().pop() else {
+        panic!("the journal must end with a run end");
+    };
+    let spans = engine.telemetry().spans();
+    let sum = |names: &[&str]| -> f64 {
+        spans
+            .iter()
+            .filter(|(name, _)| names.contains(&name.as_str()))
+            .map(|(_, total)| total.as_secs_f64())
+            .sum()
+    };
+    let training = sum(&["critic_training", "elite_rebuild", "actor_training"]);
+    assert!(
+        end.near_sampling_s > 0.0,
+        "near-sampling must fire: {end:?}"
+    );
+    for (field, value, spanned) in [
+        ("training_s", end.training_s, training),
+        ("simulation_s", end.simulation_s, sum(&["simulation"])),
+        (
+            "near_sampling_s",
+            end.near_sampling_s,
+            sum(&["near_sampling"]),
+        ),
+    ] {
+        assert!(
+            (value - spanned).abs() < 1e-6,
+            "{field} {value} vs span sum {spanned}: {spans:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn run_method_observed_writes_one_journal_per_run_and_matches_plain() {
     let problem = ConstrainedToy::new(2);
     let inits = make_initial_sets(&problem, 2, 15, 41);
@@ -149,10 +195,7 @@ fn normalized_lines(path: &std::path::Path) -> Vec<String> {
         .lines()
         .map(|line| match Record::parse(line) {
             Ok(Record::RunEnd(mut end)) => {
-                end.total_s = 0.0;
-                end.training_s = 0.0;
-                end.simulation_s = 0.0;
-                end.near_sampling_s = 0.0;
+                end.zero_timing();
                 Record::RunEnd(end).to_json_line()
             }
             _ => line.to_string(),

@@ -10,8 +10,8 @@
 //!   ([`cache`]),
 //! * fault handling — per-evaluation panic isolation, a configurable
 //!   deadline, and bounded retry before a penalty vector is emitted,
-//! * telemetry — counters, per-phase wall-time spans and an optional
-//!   JSONL event log ([`telemetry`]).
+//! * telemetry — counters, per-phase wall-time spans and a metrics
+//!   registry ([`telemetry`]).
 //!
 //! The engine is deliberately deterministic: [`EvalEngine::map`]
 //! returns results in input order no matter how workers interleave, so
@@ -39,7 +39,7 @@ pub use metrics::{
 };
 pub use pool::WorkerPool;
 pub use queue::BoundedQueue;
-pub use telemetry::{CounterSnapshot, SpanStat, Telemetry};
+pub use telemetry::{span_delta, CounterSnapshot, SpanStat, Telemetry};
 pub use trace::{TraceRecorder, TraceSnapshot};
 
 use std::panic::AssertUnwindSafe;
@@ -539,17 +539,6 @@ impl EvalEngine {
             if let Some(tr) = tracer {
                 tr.instant(&format!("fault:{}", kind.label()), hash);
             }
-            t.event(
-                "fault",
-                &[
-                    ("kind", telemetry::json_string(kind.label())),
-                    ("attempt", attempt.to_string()),
-                    (
-                        "elapsed_s",
-                        telemetry::json_f64(start.elapsed().as_secs_f64()),
-                    ),
-                ],
-            );
             if attempt < self.policy.max_retries {
                 let delay = self.policy.backoff_delay(x, attempt);
                 attempt += 1;

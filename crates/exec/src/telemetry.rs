@@ -1,14 +1,16 @@
 //! Telemetry for the evaluation engine: monotonic counters, per-phase
-//! wall-time spans and an optional JSONL event log.
+//! wall-time spans and a named-metrics registry.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crate::metrics::MetricSnapshot;
+
+/// Name prefix of the per-phase span histograms: a span of `phase` ends
+/// as one observation of `exec.phase_seconds.<phase>`.
+const PHASE_PREFIX: &str = "exec.phase_seconds.";
 
 /// Monotonic event counters. All increments are relaxed atomics — the
 /// counters are statistics, not synchronization.
@@ -113,13 +115,6 @@ impl fmt::Display for CounterSnapshot {
     }
 }
 
-/// Accumulated wall time and call count of one phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct SpanTotal {
-    total: Duration,
-    count: u64,
-}
-
 /// A point-in-time copy of one phase's span statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanStat {
@@ -141,18 +136,16 @@ pub struct Telemetry {
     /// optimizer-level metrics land in one sink. Behind an `Arc` so the
     /// engine can install it as the thread-ambient registry
     /// ([`crate::metrics::set_ambient_metrics`]) around each evaluation.
+    /// Span totals live here too (see [`Telemetry::span`]).
     pub metrics: Arc<crate::metrics::MetricsRegistry>,
-    spans: Mutex<BTreeMap<String, SpanTotal>>,
-    events: Option<Mutex<BufWriter<File>>>,
     tracer: Option<Arc<crate::trace::TraceRecorder>>,
-    origin: Instant,
 }
 
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Telemetry")
             .field("counters", &self.counters)
-            .field("jsonl", &self.events.is_some())
+            .field("traced", &self.tracer.is_some())
             .finish()
     }
 }
@@ -162,41 +155,15 @@ impl Default for Telemetry {
         Telemetry {
             counters: Counters::default(),
             metrics: Arc::new(crate::metrics::MetricsRegistry::new()),
-            spans: Mutex::new(BTreeMap::new()),
-            events: None,
             tracer: None,
-            origin: Instant::now(),
         }
     }
 }
 
-impl Drop for Telemetry {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 impl Telemetry {
-    /// Telemetry with no event log.
+    /// Fresh telemetry: zero counters, no metrics, no flight recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Telemetry writing one JSON object per line to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn with_jsonl(path: &Path) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Telemetry {
-            counters: Counters::default(),
-            metrics: Arc::new(crate::metrics::MetricsRegistry::new()),
-            spans: Mutex::new(BTreeMap::new()),
-            events: Some(Mutex::new(BufWriter::new(file))),
-            tracer: None,
-            origin: Instant::now(),
-        })
     }
 
     /// Attaches a flight recorder: every span this telemetry records
@@ -227,59 +194,25 @@ impl Telemetry {
         fresh
     }
 
-    /// Starts a wall-time span for `phase`; the elapsed time accumulates
-    /// into the phase's total when the guard drops. Overlapping spans from
+    /// Starts a wall-time span for `phase`. When the guard drops, the
+    /// elapsed time is observed into the `exec.phase_seconds.<phase>`
+    /// histogram, which is the phase's one record: its `sum` is the
+    /// phase total and its `count + invalid` the number of spans (a
+    /// zero-length span counts as invalid). Overlapping spans from
     /// concurrent workers all add up, so a phase total can exceed
-    /// wall-clock — it is a work measure, like CPU time.
+    /// wall-clock — it is a work measure, like CPU time. (Metrics never
+    /// enter run journals — only counter snapshots do — so span time
+    /// stays outside the byte-identity contract.)
     pub fn span(&self, phase: &str) -> SpanGuard<'_> {
         SpanGuard {
             telemetry: self,
             phase: phase.to_string(),
             start: Instant::now(),
             trace_t0: self.tracer.as_ref().map(|tr| tr.now_ns()),
-            arg: None,
         }
     }
 
-    /// Like [`Telemetry::span`], with a payload recorded on the trace
-    /// event (e.g. a round index or design hash) — ignored when no
-    /// flight recorder is attached.
-    pub fn span_n(&self, phase: &str, arg: u64) -> SpanGuard<'_> {
-        let mut guard = self.span(phase);
-        guard.arg = Some(arg);
-        guard
-    }
-
-    /// Poison-tolerant: [`SpanGuard`]s drop during panic unwinding on
-    /// pool workers, and a lost span (or a double panic aborting the
-    /// process) would be strictly worse than reading through the poison
-    /// — the map of accumulated durations is valid at every point.
-    ///
-    /// Each span end also observes the phase's latency into the
-    /// `exec.phase_seconds.<phase>` histogram, so per-phase percentiles
-    /// come for free wherever the metrics registry is dumped. (Metrics
-    /// never enter run journals — only counter snapshots do — so this
-    /// stays outside the byte-identity contract.)
-    fn end_span(&self, phase: String, elapsed: Duration) {
-        self.metrics.observe(
-            &format!("exec.phase_seconds.{phase}"),
-            elapsed.as_secs_f64(),
-        );
-        self.add_span(phase, elapsed, 1);
-    }
-
-    /// Adds to a phase's running total without the per-call histogram
-    /// observation — the merge path, where `other`'s histograms arrive
-    /// through the metrics merge instead.
-    fn add_span(&self, phase: String, elapsed: Duration, count: u64) {
-        let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = spans.entry(phase).or_default();
-        entry.total += elapsed;
-        entry.count += count;
-    }
-
     /// Accumulated per-phase wall time, sorted by phase name.
-    /// Poison-tolerant for the same reason as span recording.
     pub fn spans(&self) -> Vec<(String, Duration)> {
         self.span_stats()
             .into_iter()
@@ -288,15 +221,19 @@ impl Telemetry {
     }
 
     /// Accumulated per-phase wall time *and call counts*, sorted by
-    /// phase name.
+    /// phase name: a view over the `exec.phase_seconds.<phase>`
+    /// histograms.
     pub fn span_stats(&self) -> Vec<SpanStat> {
-        let spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
-        spans
-            .iter()
-            .map(|(name, t)| SpanStat {
-                name: name.clone(),
-                total: t.total,
-                count: t.count,
+        self.metrics
+            .snapshot()
+            .into_iter()
+            .filter_map(|m| match m {
+                MetricSnapshot::Histogram(h) => Some(SpanStat {
+                    name: h.name.strip_prefix(PHASE_PREFIX)?.to_string(),
+                    total: Duration::from_secs_f64(h.sum),
+                    count: h.count + h.invalid,
+                }),
+                _ => None,
             })
             .collect()
     }
@@ -321,14 +258,15 @@ impl Telemetry {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Absorbs `other`'s counters, span totals and metrics into `self`.
+    /// Absorbs `other`'s counters and metrics (span totals included)
+    /// into `self`.
     ///
     /// This is how per-run telemetry isolation composes with aggregate
     /// reporting: a run executing on the pool records into its own fresh
     /// `Telemetry` (so its journal counters cannot depend on how
     /// concurrent runs interleave) and the caller merges the totals back
-    /// into the shared sink afterwards. Counters and span durations add;
-    /// metrics merge per [`crate::MetricsRegistry::merge_from`].
+    /// into the shared sink afterwards. Counters add; metrics, and with
+    /// them span totals, merge per [`crate::MetricsRegistry::merge_from`].
     /// Concurrent merges into the same target are safe; merging two
     /// telemetries into each other concurrently is not supported.
     pub fn merge_from(&self, other: &Telemetry) {
@@ -346,44 +284,24 @@ impl Telemetry {
         ] {
             counter.fetch_add(value, Ordering::Relaxed);
         }
-        for stat in other.span_stats() {
-            self.add_span(stat.name, stat.total, stat.count);
-        }
         self.metrics.merge_from(&other.metrics);
     }
+}
 
-    /// Emits a JSONL event (no-op without an event log). `fields` are
-    /// appended as pre-rendered JSON values — use [`json_string`] /
-    /// [`json_f64`] to render them.
-    ///
-    /// Lines are buffered, not flushed: flushing happens in the `Drop`
-    /// impl (or an explicit [`Telemetry::flush`]), keeping JSONL logging
-    /// off the evaluation hot path.
-    pub fn event(&self, kind: &str, fields: &[(&str, String)]) {
-        let Some(events) = &self.events else { return };
-        let mut line = format!(
-            "{{\"event\":{},\"t_ms\":{}",
-            json_string(kind),
-            self.origin.elapsed().as_millis()
-        );
-        for (key, value) in fields {
-            line.push_str(&format!(",{}:{}", json_string(key), value));
-        }
-        line.push_str("}\n");
-        let mut w = events.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = w.write_all(line.as_bytes());
-    }
-
-    /// Flushes the buffered JSONL event log (no-op without one). Also
-    /// called on drop, where a poisoned lock is tolerated rather than
-    /// double-panicking.
-    pub fn flush(&self) {
-        if let Some(events) = &self.events {
-            if let Ok(mut w) = events.lock() {
-                let _ = w.flush();
-            }
-        }
-    }
+/// How much phase `name`'s total grew between two [`Telemetry::spans`]
+/// readings (zero for a phase in neither).
+pub fn span_delta(
+    before: &[(String, Duration)],
+    after: &[(String, Duration)],
+    name: &str,
+) -> Duration {
+    let total = |spans: &[(String, Duration)]| {
+        spans
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(Duration::ZERO, |(_, d)| *d)
+    };
+    total(after).saturating_sub(total(before))
 }
 
 /// Minimal JSON string escaping for event keys/values.
@@ -428,18 +346,20 @@ pub struct SpanGuard<'a> {
     start: Instant,
     /// Recorder-relative start timestamp, captured iff tracing.
     trace_t0: Option<u64>,
-    /// Optional payload for the trace event ([`Telemetry::span_n`]).
-    arg: Option<u64>,
 }
 
 impl Drop for SpanGuard<'_> {
+    /// Runs during panic unwinding on pool workers too; the metrics
+    /// registry is poison-tolerant, so the span end is never lost.
     fn drop(&mut self) {
         let elapsed = self.start.elapsed();
         if let (Some(tracer), Some(t0)) = (&self.telemetry.tracer, self.trace_t0) {
-            tracer.span(&self.phase, t0, elapsed.as_nanos() as u64, self.arg);
+            tracer.span(&self.phase, t0, elapsed.as_nanos() as u64, None);
         }
-        self.telemetry
-            .end_span(std::mem::take(&mut self.phase), elapsed);
+        self.telemetry.metrics.observe(
+            &format!("{PHASE_PREFIX}{}", self.phase),
+            elapsed.as_secs_f64(),
+        );
     }
 }
 
@@ -478,27 +398,6 @@ mod tests {
         assert_eq!(delta.sims, 1);
         assert_eq!(delta.cache_hits, 1);
         assert_eq!(format!("{delta}"), "sims 1 cache 1/1 retries 0 faults 0");
-    }
-
-    #[test]
-    fn jsonl_events_are_valid_lines() {
-        let dir = std::env::temp_dir().join("maopt_exec_telemetry_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let t = Telemetry::with_jsonl(&path).unwrap();
-        t.event(
-            "eval",
-            &[("label", json_string("a\"b")), ("sims", "3".into())],
-        );
-        t.event("done", &[]);
-        drop(t);
-        let content = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = content.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"event\":\"eval\",\"t_ms\":"));
-        assert!(lines[0].contains("\"label\":\"a\\\"b\""));
-        assert!(lines[1].contains("\"done\""));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -596,7 +495,7 @@ mod tests {
         let child = parent.isolated();
         child.bump(&child.counters.sims);
         {
-            let _s = child.span_n("round", 7);
+            let _s = child.span("round");
         }
         assert_eq!(parent.snapshot().sims, 0, "counters are isolated");
         assert!(parent.spans().is_empty(), "spans are isolated");
@@ -604,7 +503,6 @@ mod tests {
         assert_eq!(snap.len(), 1, "the trace timeline is shared");
         let ev = &snap.threads[0].events[0];
         assert_eq!(ev.name, "round");
-        assert_eq!(ev.arg, Some(7));
         assert!(matches!(ev.kind, crate::trace::TraceEventKind::Span { .. }));
     }
 
@@ -616,22 +514,5 @@ mod tests {
             let _s = t.span("phase");
         }
         assert_eq!(t.span_stats()[0].count, 1);
-    }
-
-    #[test]
-    fn events_flush_on_explicit_flush_and_on_drop() {
-        let dir = std::env::temp_dir().join("maopt_exec_telemetry_flush_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let t = Telemetry::with_jsonl(&path).unwrap();
-        t.event("a", &[("x", json_f64(f64::NAN))]);
-        t.flush();
-        let after_flush = std::fs::read_to_string(&path).unwrap();
-        assert!(after_flush.contains("\"x\":null"), "{after_flush:?}");
-        t.event("b", &[]);
-        drop(t);
-        let after_drop = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(after_drop.lines().count(), 2, "drop flushed the rest");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -159,6 +159,18 @@ pub struct RunEnd {
     pub engine: CounterSnapshot,
 }
 
+impl RunEnd {
+    /// Zeroes the wall-clock fields (`total_s` and the three phase
+    /// times), the only ones that may differ between two runs that must
+    /// otherwise match byte for byte.
+    pub fn zero_timing(&mut self) {
+        self.total_s = 0.0;
+        self.training_s = 0.0;
+        self.simulation_s = 0.0;
+        self.near_sampling_s = 0.0;
+    }
+}
+
 /// Engine-level aggregate written by the harness (per method): span
 /// totals, counters and the metrics-registry dump.
 #[derive(Debug, Clone, PartialEq)]
@@ -738,6 +750,27 @@ mod tests {
             .replace("\"record\":\"manifest\"", "\"record\":\"mystery\"");
         assert!(Record::parse(&line).unwrap_err().contains("mystery"));
         assert!(Record::parse("not json").is_err());
+    }
+
+    #[test]
+    fn zero_timing_keeps_every_other_field() {
+        let Some(Record::RunEnd(end)) = samples().into_iter().find(|r| r.kind() == "run_end")
+        else {
+            panic!("expected a run-end sample");
+        };
+        assert!(end.total_s > 0.0 && end.training_s > 0.0);
+        let mut zeroed = end.clone();
+        zeroed.zero_timing();
+        assert_eq!(
+            zeroed,
+            RunEnd {
+                total_s: 0.0,
+                training_s: 0.0,
+                simulation_s: 0.0,
+                near_sampling_s: 0.0,
+                ..end
+            }
+        );
     }
 
     #[test]
