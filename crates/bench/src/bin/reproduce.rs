@@ -48,7 +48,7 @@ use maopt_bench::runtime_model::RuntimeModel;
 use maopt_bench::{paper_methods, Protocol};
 use maopt_circuits::{LdoRegulator, ThreeStageTia, TwoStageOta};
 use maopt_core::chaos::ChaoticProblem;
-use maopt_core::runner::{make_initial_sets_nested, run_method_resumable, MethodStats};
+use maopt_core::runner::{make_initial_sets, run_method, MethodStats};
 use maopt_core::{RunCheckpointer, SizingProblem};
 use maopt_exec::chaos::ChaosConfig;
 use maopt_exec::{
@@ -249,8 +249,7 @@ fn run_circuit(
     let engine = engine;
     let run_engine = EvalEngine::new(args.run_jobs);
     let t0 = Instant::now();
-    let inits =
-        make_initial_sets_nested(problem, p.runs, p.init_size, p.seed, &run_engine, &engine);
+    let inits = make_initial_sets(problem, p.runs, p.init_size, p.seed, &run_engine, &engine);
     println!("initial sets simulated in {:?}", t0.elapsed());
 
     let model = RuntimeModel::default();
@@ -302,11 +301,10 @@ fn run_circuit(
         };
         let spans_before = engine.telemetry().spans();
         let newton_before = newton_iters_totals(&engine);
-        let stats = run_method_resumable(
+        let stats = run_method(
             method.as_ref(),
             problem,
             &inits,
-            p.runs,
             p.budget,
             p.seed + 7,
             &run_engine,
@@ -315,7 +313,7 @@ fn run_circuit(
             &ckpts,
         );
         // Wall time: the growth of the `method:<name>` span that
-        // `run_method_resumable` opens around the method's runs.
+        // `run_method` opens around the method's runs.
         let elapsed = span_delta(
             &spans_before,
             &engine.telemetry().spans(),

@@ -644,7 +644,7 @@ mod tests {
             ..MaOptConfig::ma_opt(seed)
         };
         let journal = Journal::create(dir.join(format!("run{seed}.jsonl"))).unwrap();
-        MaOpt::new(cfg).run_observed(&problem, init, 12, &EvalEngine::serial(), &journal);
+        MaOpt::new(cfg).run(&problem, init, 12, &EvalEngine::serial(), &journal, None);
     }
 
     #[test]

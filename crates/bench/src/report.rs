@@ -217,17 +217,19 @@ mod tests {
     use maopt_core::problems::Sphere;
     use maopt_core::runner::{make_initial_sets, run_method};
     use maopt_core::MaOptConfig;
+    use maopt_exec::EvalEngine;
 
     fn tiny_stats() -> Vec<MethodStats> {
         let p = Sphere::new(2);
-        let inits = make_initial_sets(&p, 1, 6, 0);
+        let e = EvalEngine::serial();
+        let inits = make_initial_sets(&p, 1, 6, 0, &e, &e);
         let cfg = MaOptConfig {
             hidden: vec![8],
             critic_steps: 2,
             actor_steps: 2,
             ..MaOptConfig::dnn_opt(0)
         };
-        vec![run_method(&cfg, &p, &inits, 1, 4, 0)]
+        vec![run_method(&cfg, &p, &inits, 4, 0, &e, &e, &[], &[])]
     }
 
     #[test]

@@ -105,16 +105,6 @@ impl Optimizer for BoOptimizer {
         "BO".into()
     }
 
-    fn optimize(
-        &self,
-        problem: &dyn SizingProblem,
-        init: &[(Vec<f64>, Vec<f64>)],
-        budget: usize,
-        seed: u64,
-    ) -> RunResult {
-        self.optimize_with(problem, init, budget, seed, &EvalEngine::serial())
-    }
-
     fn optimize_with(
         &self,
         problem: &dyn SizingProblem,

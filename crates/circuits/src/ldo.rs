@@ -19,9 +19,9 @@ use maopt_core::{OpState, ParamSpec, SizingProblem, Spec};
 use maopt_sim::analysis::ac::AcAnalysis;
 use maopt_sim::analysis::dc::DcAnalysis;
 use maopt_sim::analysis::tran::{Integrator, TranAnalysis};
-use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, ElementId, MosInstance, SimError, Waveform};
+use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, ElementId, SimError, Waveform};
 
-use crate::util::{ff, kohm, slot, um, windowed_settling_abs};
+use crate::util::{ff, kohm, mos, slot, windowed_settling_abs};
 
 const VIN_NOM: f64 = 3.3;
 const VIN_LOW: f64 = 2.0;
@@ -102,11 +102,6 @@ impl LdoRegulator {
             Spec::at_least("PSRR", 8, 60.0),
         ];
         LdoRegulator { params, specs }
-    }
-
-    /// Metric vector reported for a non-convergent sizing.
-    pub fn failure_metrics(&self) -> Vec<f64> {
-        vec![0.1, 0.0, 10.0, 10.0, 1.0, 1.0, 1.0, 1.0, 0.0]
     }
 
     fn sizing(&self, x: &[f64]) -> Sizing {
@@ -274,10 +269,6 @@ impl LdoRegulator {
         Ok(windowed_settling_abs(&res, vout, T_STEP, 0.018))
     }
 
-    fn try_evaluate(&self, x: &[f64]) -> Result<Vec<f64>, SimError> {
-        self.try_evaluate_seeded(x, None).map(|(m, _)| m)
-    }
-
     /// Full evaluation with an optional advisory operating-point seed. Only
     /// the *nominal* DC solve (slot 0) takes a cross-design seed — every
     /// corner and transient solve already warm-starts from the nominal
@@ -343,15 +334,6 @@ impl LdoRegulator {
     }
 }
 
-fn mos(model: &maopt_sim::MosModel, w_um: f64, l_um: f64, m: f64) -> MosInstance {
-    MosInstance {
-        model: model.clone(),
-        w: um(w_um),
-        l: um(l_um),
-        m,
-    }
-}
-
 impl SizingProblem for LdoRegulator {
     fn name(&self) -> &str {
         "ldo_regulator"
@@ -383,21 +365,19 @@ impl SizingProblem for LdoRegulator {
     }
 
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {
-        self.try_evaluate(x)
-            .unwrap_or_else(|_| self.failure_metrics())
+        self.evaluate_seeded(x, None).0
     }
 
     fn evaluate_seeded(&self, x: &[f64], seed: Option<&OpState>) -> (Vec<f64>, Option<OpState>) {
         match self.try_evaluate_seeded(x, seed) {
             Ok((m, state)) => (m, Some(state)),
-            Err(_) => (Self::failure_metrics(self), None),
+            Err(_) => (self.failure_metrics(), None),
         }
     }
 
+    /// Metric vector reported for a non-convergent sizing.
     fn failure_metrics(&self) -> Vec<f64> {
-        // The inherent finite, maximally-spec-violating vector, surfaced
-        // through the trait so the evaluation engine's fault path emits it.
-        Self::failure_metrics(self)
+        vec![0.1, 0.0, 10.0, 10.0, 1.0, 1.0, 1.0, 1.0, 0.0]
     }
 }
 

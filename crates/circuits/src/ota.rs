@@ -24,9 +24,9 @@ use maopt_sim::analysis::dc::DcAnalysis;
 use maopt_sim::analysis::measure::Bode;
 use maopt_sim::analysis::noise::NoiseAnalysis;
 use maopt_sim::analysis::tran::TranAnalysis;
-use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, MosInstance, SimError, Waveform};
+use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, SimError, Waveform};
 
-use crate::util::{ff, kohm, slot, um, windowed_settling};
+use crate::util::{ff, kohm, mos, slot, windowed_settling};
 
 const VDD: f64 = 1.8;
 const VCM: f64 = 0.9;
@@ -101,12 +101,6 @@ impl TwoStageOta {
             Spec::at_most("Output noise", 8, 30e-3),
         ];
         TwoStageOta { params, specs }
-    }
-
-    /// The documented metric vector of a failed (non-convergent) sizing:
-    /// huge power, zero gain/bandwidth/margins, unbounded settling/noise.
-    pub fn failure_metrics(&self) -> Vec<f64> {
-        vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0]
     }
 
     fn sizing(&self, x: &[f64]) -> Sizing {
@@ -323,10 +317,6 @@ impl TwoStageOta {
         ckt
     }
 
-    fn try_evaluate(&self, x: &[f64]) -> Result<Vec<f64>, SimError> {
-        self.try_evaluate_seeded(x, None).map(|(m, _)| m)
-    }
-
     /// Full evaluation with an optional advisory operating-point seed from a
     /// reference design of the same topology. The three Newton solves map to
     /// seed slots 0 (main bench), 1 (buffer at t = 0) and 2 (noise bench);
@@ -403,16 +393,6 @@ impl TwoStageOta {
     }
 }
 
-/// Builds a [`MosInstance`] from micron geometry.
-fn mos(model: &maopt_sim::MosModel, w_um: f64, l_um: f64, m: f64) -> MosInstance {
-    MosInstance {
-        model: model.clone(),
-        w: um(w_um),
-        l: um(l_um),
-        m,
-    }
-}
-
 impl SizingProblem for TwoStageOta {
     fn name(&self) -> &str {
         "two_stage_ota"
@@ -444,21 +424,20 @@ impl SizingProblem for TwoStageOta {
     }
 
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {
-        self.try_evaluate(x)
-            .unwrap_or_else(|_| self.failure_metrics())
+        self.evaluate_seeded(x, None).0
     }
 
     fn evaluate_seeded(&self, x: &[f64], seed: Option<&OpState>) -> (Vec<f64>, Option<OpState>) {
         match self.try_evaluate_seeded(x, seed) {
             Ok((m, state)) => (m, Some(state)),
-            Err(_) => (Self::failure_metrics(self), None),
+            Err(_) => (self.failure_metrics(), None),
         }
     }
 
+    /// The documented metric vector of a failed (non-convergent) sizing:
+    /// huge power, zero gain/bandwidth/margins, unbounded settling/noise.
     fn failure_metrics(&self) -> Vec<f64> {
-        // The inherent finite, maximally-spec-violating vector, surfaced
-        // through the trait so the evaluation engine's fault path emits it.
-        Self::failure_metrics(self)
+        vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0]
     }
 }
 

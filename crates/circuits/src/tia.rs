@@ -26,9 +26,9 @@ use maopt_sim::analysis::ac::AcAnalysis;
 use maopt_sim::analysis::dc::DcAnalysis;
 use maopt_sim::analysis::measure::Bode;
 use maopt_sim::analysis::noise::NoiseAnalysis;
-use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, MosInstance, SimError};
+use maopt_sim::{nmos_180nm, pmos_180nm, Circuit, SimError};
 
-use crate::util::{ff, kohm, slot, um};
+use crate::util::{ff, kohm, mos, slot};
 
 const VDD: f64 = 1.8;
 const IREF: f64 = 20e-6;
@@ -80,11 +80,6 @@ impl ThreeStageTia {
             Spec::at_most("Input-referred noise", 3, 10e-12),
         ];
         ThreeStageTia { params, specs }
-    }
-
-    /// Metric vector reported for a non-convergent sizing.
-    pub fn failure_metrics(&self) -> Vec<f64> {
-        vec![1.0, 0.0, 0.0, 1.0]
     }
 
     fn sizing(&self, x: &[f64]) -> Sizing {
@@ -153,10 +148,6 @@ impl ThreeStageTia {
         ckt
     }
 
-    fn try_evaluate(&self, x: &[f64]) -> Result<Vec<f64>, SimError> {
-        self.try_evaluate_seeded(x, None).map(|(m, _)| m)
-    }
-
     /// Full evaluation with an optional advisory operating-point seed from a
     /// reference design; the single Newton solve is seed slot 0.
     fn try_evaluate_seeded(
@@ -198,15 +189,6 @@ impl ThreeStageTia {
     }
 }
 
-fn mos(model: &maopt_sim::MosModel, w_um: f64, l_um: f64, m: f64) -> MosInstance {
-    MosInstance {
-        model: model.clone(),
-        w: um(w_um),
-        l: um(l_um),
-        m,
-    }
-}
-
 impl SizingProblem for ThreeStageTia {
     fn name(&self) -> &str {
         "three_stage_tia"
@@ -233,21 +215,19 @@ impl SizingProblem for ThreeStageTia {
     }
 
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {
-        self.try_evaluate(x)
-            .unwrap_or_else(|_| self.failure_metrics())
+        self.evaluate_seeded(x, None).0
     }
 
     fn evaluate_seeded(&self, x: &[f64], seed: Option<&OpState>) -> (Vec<f64>, Option<OpState>) {
         match self.try_evaluate_seeded(x, seed) {
             Ok((m, state)) => (m, Some(state)),
-            Err(_) => (Self::failure_metrics(self), None),
+            Err(_) => (self.failure_metrics(), None),
         }
     }
 
+    /// Metric vector reported for a non-convergent sizing.
     fn failure_metrics(&self) -> Vec<f64> {
-        // The inherent finite, maximally-spec-violating vector, surfaced
-        // through the trait so the evaluation engine's fault path emits it.
-        Self::failure_metrics(self)
+        vec![1.0, 0.0, 0.0, 1.0]
     }
 }
 

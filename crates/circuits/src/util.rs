@@ -1,7 +1,7 @@
 //! Shared helpers for the circuit testbenches.
 
 use maopt_sim::analysis::tran::TranResult;
-use maopt_sim::Node;
+use maopt_sim::{MosInstance, MosModel, Node};
 
 /// Settling time of a transient window: the waveform between `t_start` and
 /// the record end, measured against its final value with a tolerance band
@@ -54,6 +54,16 @@ pub fn windowed_settling_abs(res: &TranResult, node: Node, t_start: f64, band: f
 /// solver then runs its cold continuation ladder.
 pub fn slot(seed: Option<&maopt_core::OpState>, i: usize) -> Option<&[f64]> {
     seed.and_then(|s| s.slots.get(i)).map(|v| v.as_slice())
+}
+
+/// Builds a [`MosInstance`] from micron geometry.
+pub fn mos(model: &MosModel, w_um: f64, l_um: f64, m: f64) -> MosInstance {
+    MosInstance {
+        model: model.clone(),
+        w: um(w_um),
+        l: um(l_um),
+        m,
+    }
 }
 
 /// Converts micrometres to metres.

@@ -1,6 +1,6 @@
 //! Classic simulation-based baselines from the paper's related work:
-//! particle swarm optimization (ref. [7]), differential evolution
-//! (ref. [8]) and plain random search. All three implement
+//! particle swarm optimization (ref. \[7\]), differential evolution
+//! (ref. \[8\]) and plain random search. All three implement
 //! [`crate::runner::Optimizer`], so they slot into the experiment harness
 //! next to BO and the RL-inspired methods.
 //!
@@ -8,11 +8,13 @@
 //! convergence rate* at small simulation budgets — easily verified here by
 //! adding them to a comparison (see the `compare_methods` example).
 //!
-//! They call `problem.evaluate` directly, with no engine and so no spans,
-//! and report only their wall-clock total in [`RunTimings`].
+//! They ignore the engine they are given and call `problem.evaluate`
+//! directly, so they record no spans and report only their wall-clock
+//! total in [`RunTimings`].
 
 use std::time::Instant;
 
+use maopt_exec::EvalEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,12 +42,13 @@ impl Optimizer for RandomSearch {
         "Random".into()
     }
 
-    fn optimize(
+    fn optimize_with(
         &self,
         problem: &dyn SizingProblem,
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
+        _engine: &EvalEngine,
     ) -> RunResult {
         let t0 = Instant::now();
         let specs = problem.specs().to_vec();
@@ -118,12 +121,13 @@ impl Optimizer for ParticleSwarm {
         "PSO".into()
     }
 
-    fn optimize(
+    fn optimize_with(
         &self,
         problem: &dyn SizingProblem,
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
+        _engine: &EvalEngine,
     ) -> RunResult {
         let t0 = Instant::now();
         let specs = problem.specs().to_vec();
@@ -239,12 +243,13 @@ impl Optimizer for DifferentialEvolution {
         "DE".into()
     }
 
-    fn optimize(
+    fn optimize_with(
         &self,
         problem: &dyn SizingProblem,
         init: &[(Vec<f64>, Vec<f64>)],
         budget: usize,
         seed: u64,
+        _engine: &EvalEngine,
     ) -> RunResult {
         let t0 = Instant::now();
         let specs = problem.specs().to_vec();

@@ -9,7 +9,7 @@ use maopt_ckpt::{load_snapshot_gen, save_snapshot_gen, snapshot_store, GenStore,
 
 /// Checkpoint configuration for one optimization run.
 ///
-/// Passed to [`crate::MaOpt::run_resumable`]; the optimizer saves an
+/// Passed to [`crate::MaOpt::run`]; the optimizer saves an
 /// atomic [`RunSnapshot`] generation (`<path>.0001.bin`,
 /// `<path>.0002.bin`, …, newest [`RunCheckpointer::keep`] retained)
 /// after every completed round, and — when

@@ -21,12 +21,13 @@
 //! # Example: optimize a synthetic quadratic sizing problem
 //!
 //! ```
-//! use maopt_core::{MaOpt, MaOptConfig, problems::Sphere, runner::sample_initial_set};
+//! use maopt_core::runner::{sample_initial_set, Optimizer};
+//! use maopt_core::{problems::Sphere, MaOptConfig};
 //!
 //! let problem = Sphere::new(4);
 //! let config = MaOptConfig::ma_opt(7);
 //! let init = sample_initial_set(&problem, 20, 7);
-//! let result = MaOpt::new(config).run(&problem, init, 30);
+//! let result = config.optimize(&problem, &init, 30, 7);
 //! assert!(result.best_fom() < 1.0);
 //! ```
 

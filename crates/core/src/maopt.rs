@@ -286,72 +286,27 @@ impl MaOpt {
     /// `(x, f(x))` (shared across methods in the paper's protocol), `budget`
     /// the number of additional simulations allowed.
     ///
-    /// # Panics
+    /// Actor training, proposal simulations and near-sampling ranking are
+    /// dispatched through `engine`. Every per-actor computation is seeded
+    /// independently of scheduling (`iter_seed ^ (i << 17)`), so the result
+    /// is bitwise identical for any engine worker count.
     ///
-    /// Panics if `init` is empty.
-    pub fn run(
-        &self,
-        problem: &dyn SizingProblem,
-        init: Vec<(Vec<f64>, Vec<f64>)>,
-        budget: usize,
-    ) -> RunResult {
-        self.run_with(problem, init, budget, &EvalEngine::default())
-    }
-
-    /// [`MaOpt::run`] with actor training, proposal simulations and
-    /// near-sampling ranking dispatched through the given [`EvalEngine`].
+    /// Optimizer internals — a run manifest, per-round critic/actor/elite
+    /// records, near-sampling decisions and engine counter deltas — stream
+    /// into `journal`. Every journal-only computation (loss traces, elite
+    /// geometry, Spearman fidelity) is gated on [`Journal::enabled`], none
+    /// of it consumes RNG draws or perturbs optimization arithmetic, so
+    /// results are bitwise identical whether or not journaling is on.
     ///
-    /// Every per-actor computation is seeded independently of scheduling
-    /// (`iter_seed ^ (i << 17)`), so the result is bitwise identical for
-    /// any engine worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `init` is empty.
-    pub fn run_with(
-        &self,
-        problem: &dyn SizingProblem,
-        init: Vec<(Vec<f64>, Vec<f64>)>,
-        budget: usize,
-        engine: &EvalEngine,
-    ) -> RunResult {
-        self.run_observed(problem, init, budget, engine, &Journal::disabled())
-    }
-
-    /// [`MaOpt::run_with`] that additionally streams optimizer internals —
-    /// a run manifest, per-round critic/actor/elite records, near-sampling
-    /// decisions and engine counter deltas — into the given run
-    /// [`Journal`].
-    ///
-    /// With a disabled journal this *is* `run_with`: every journal-only
-    /// computation (loss traces, elite geometry, Spearman fidelity) is
-    /// gated on [`Journal::enabled`], none of it consumes RNG draws or
-    /// perturbs optimization arithmetic, so results are bitwise identical
-    /// whether or not journaling is on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `init` is empty.
-    pub fn run_observed(
-        &self,
-        problem: &dyn SizingProblem,
-        init: Vec<(Vec<f64>, Vec<f64>)>,
-        budget: usize,
-        engine: &EvalEngine,
-        journal: &Journal,
-    ) -> RunResult {
-        self.run_resumable(problem, init, budget, engine, journal, None)
-    }
-
-    /// [`MaOpt::run_observed`] with crash-safe checkpointing: with a
-    /// [`RunCheckpointer`], the full optimizer state — RNG stream
+    /// With a [`RunCheckpointer`], the full optimizer state — RNG stream
     /// position, simulated population with trace provenance, per-actor
     /// and critic weights plus Adam moments, the fitted output scaler,
     /// elite bookkeeping, the simulation cache, the operating-point store
     /// (so warm runs resume warm) and the journal lines written so far —
-    /// is atomically persisted after every completed round. With resume enabled, a run killed at any instant continues
-    /// from its last durable round and produces a journal byte-identical
-    /// to an uninterrupted run on every non-timing field.
+    /// is atomically persisted after every completed round. With resume
+    /// enabled, a run killed at any instant continues from its last
+    /// durable round and produces a journal byte-identical to an
+    /// uninterrupted run on every non-timing field.
     ///
     /// # Panics
     ///
@@ -359,7 +314,7 @@ impl MaOpt {
     /// corrupt one is resumed from, or if a resumed snapshot disagrees
     /// with this configuration (label, seed, budget, problem, actor or
     /// critic count, or the initial sample set).
-    pub fn run_resumable(
+    pub fn run(
         &self,
         problem: &dyn SizingProblem,
         init: Vec<(Vec<f64>, Vec<f64>)>,
@@ -975,7 +930,7 @@ fn critic_fidelity(
 mod tests {
     use super::*;
     use crate::problems::{ConstrainedToy, Sphere};
-    use crate::runner::sample_initial_set;
+    use crate::runner::{sample_initial_set, Optimizer};
 
     fn small(cfg: MaOptConfig) -> MaOptConfig {
         MaOptConfig {
@@ -1011,7 +966,7 @@ mod tests {
     fn sphere_improves_over_initial_set() {
         let problem = Sphere::new(4);
         let init = sample_initial_set(&problem, 20, 42);
-        let result = MaOpt::new(small(MaOptConfig::ma_opt(42))).run(&problem, init, 24);
+        let result = small(MaOptConfig::ma_opt(42)).optimize(&problem, &init, 24, 42);
         assert_eq!(result.trace.num_sims(), 24);
         assert!(
             result.best_fom() < result.trace.init_best_fom(),
@@ -1025,7 +980,7 @@ mod tests {
     fn dnn_opt_uses_one_sim_per_iteration() {
         let problem = Sphere::new(3);
         let init = sample_initial_set(&problem, 10, 7);
-        let result = MaOpt::new(small(MaOptConfig::dnn_opt(7))).run(&problem, init, 5);
+        let result = small(MaOptConfig::dnn_opt(7)).optimize(&problem, &init, 5, 7);
         assert_eq!(result.trace.num_sims(), 5);
         assert_eq!(result.trace.near_sample_count(), 0);
     }
@@ -1035,7 +990,7 @@ mod tests {
         let problem = Sphere::new(3);
         let init = sample_initial_set(&problem, 10, 8);
         // 3 actors, budget 7: 3 + 3 + 1 — must not overshoot.
-        let result = MaOpt::new(small(MaOptConfig::ma_opt2(8))).run(&problem, init, 7);
+        let result = small(MaOptConfig::ma_opt2(8)).optimize(&problem, &init, 7, 8);
         assert_eq!(result.trace.num_sims(), 7);
     }
 
@@ -1043,7 +998,7 @@ mod tests {
     fn near_sampling_rounds_appear_once_feasible() {
         let problem = ConstrainedToy::new(3);
         let init = sample_initial_set(&problem, 30, 3);
-        let result = MaOpt::new(small(MaOptConfig::ma_opt(3))).run(&problem, init, 40);
+        let result = small(MaOptConfig::ma_opt(3)).optimize(&problem, &init, 40, 3);
         // The toy problem is easy enough that specs get met and NS kicks in.
         assert!(result.success(), "toy problem should reach feasibility");
         assert!(
@@ -1056,7 +1011,7 @@ mod tests {
     fn ma_opt2_never_near_samples() {
         let problem = ConstrainedToy::new(3);
         let init = sample_initial_set(&problem, 30, 4);
-        let result = MaOpt::new(small(MaOptConfig::ma_opt2(4))).run(&problem, init, 20);
+        let result = small(MaOptConfig::ma_opt2(4)).optimize(&problem, &init, 20, 4);
         assert_eq!(result.trace.near_sample_count(), 0);
     }
 
@@ -1064,8 +1019,8 @@ mod tests {
     fn deterministic_given_seed() {
         let problem = Sphere::new(3);
         let init = sample_initial_set(&problem, 10, 11);
-        let a = MaOpt::new(small(MaOptConfig::ma_opt2(11))).run(&problem, init.clone(), 6);
-        let b = MaOpt::new(small(MaOptConfig::ma_opt2(11))).run(&problem, init, 6);
+        let a = small(MaOptConfig::ma_opt2(11)).optimize(&problem, &init, 6, 11);
+        let b = small(MaOptConfig::ma_opt2(11)).optimize(&problem, &init, 6, 11);
         assert_eq!(a.best_fom(), b.best_fom());
         let sa = a.trace.best_fom_series(6);
         let sb = b.trace.best_fom_series(6);
@@ -1076,7 +1031,7 @@ mod tests {
     fn result_reports_feasible_design() {
         let problem = ConstrainedToy::new(2);
         let init = sample_initial_set(&problem, 30, 5);
-        let result = MaOpt::new(small(MaOptConfig::ma_opt(5))).run(&problem, init, 20);
+        let result = small(MaOptConfig::ma_opt(5)).optimize(&problem, &init, 20, 5);
         if result.success() {
             let x = result.best_feasible_design().unwrap();
             assert_eq!(x.len(), 2);
@@ -1090,7 +1045,7 @@ mod tests {
         let init = sample_initial_set(&problem, 15, 13);
         let cfg = small(MaOptConfig::ma_opt_multi_critic(13, 3));
         assert_eq!(cfg.n_critics, 3);
-        let result = MaOpt::new(cfg).run(&problem, init, 12);
+        let result = cfg.optimize(&problem, &init, 12, 13);
         assert_eq!(result.trace.num_sims(), 12);
         assert!(result.best_fom() <= result.trace.init_best_fom());
         assert!(result.label.contains("c3"));
@@ -1101,12 +1056,12 @@ mod tests {
         // n_critics = 1 must reproduce exactly the plain MA-Opt² run.
         let problem = Sphere::new(3);
         let init = sample_initial_set(&problem, 12, 14);
-        let a = MaOpt::new(small(MaOptConfig::ma_opt2(14))).run(&problem, init.clone(), 6);
-        let b = MaOpt::new(small(MaOptConfig {
+        let a = small(MaOptConfig::ma_opt2(14)).optimize(&problem, &init, 6, 14);
+        let b = small(MaOptConfig {
             n_critics: 1,
             ..MaOptConfig::ma_opt2(14)
-        }))
-        .run(&problem, init, 6);
+        })
+        .optimize(&problem, &init, 6, 14);
         assert_eq!(a.trace.best_fom_series(6), b.trace.best_fom_series(6));
     }
 
@@ -1115,8 +1070,7 @@ mod tests {
         let problem = Sphere::new(2);
         let init = sample_initial_set(&problem, 10, 6);
         let engine = EvalEngine::default();
-        let result =
-            MaOpt::new(small(MaOptConfig::ma_opt2(6))).run_with(&problem, init, 4, &engine);
+        let result = small(MaOptConfig::ma_opt2(6)).optimize_with(&problem, &init, 4, 6, &engine);
         assert!(result.timings.total > Duration::ZERO);
         assert!(result.timings.training > Duration::ZERO);
         let spans = engine.telemetry().spans();

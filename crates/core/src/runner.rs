@@ -23,19 +23,10 @@ pub trait Optimizer: Send + Sync {
     fn name(&self) -> String;
 
     /// Runs one optimization with the given pre-simulated initial set,
-    /// simulation budget and RNG seed.
-    fn optimize(
-        &self,
-        problem: &dyn SizingProblem,
-        init: &[(Vec<f64>, Vec<f64>)],
-        budget: usize,
-        seed: u64,
-    ) -> RunResult;
-
-    /// Like [`Optimizer::optimize`], but running every simulation and
-    /// internal fan-out through the given [`EvalEngine`]. Implementations
-    /// must keep the result bitwise identical for any worker count; the
-    /// default ignores the engine and runs the plain serial path.
+    /// simulation budget and RNG seed, running every simulation and
+    /// internal fan-out through the given [`EvalEngine`].
+    /// Implementations must keep the result bitwise identical for any
+    /// worker count.
     fn optimize_with(
         &self,
         problem: &dyn SizingProblem,
@@ -43,19 +34,33 @@ pub trait Optimizer: Send + Sync {
         budget: usize,
         seed: u64,
         engine: &EvalEngine,
+    ) -> RunResult;
+
+    /// [`Optimizer::optimize_with`] on a serial engine.
+    fn optimize(
+        &self,
+        problem: &dyn SizingProblem,
+        init: &[(Vec<f64>, Vec<f64>)],
+        budget: usize,
+        seed: u64,
     ) -> RunResult {
-        let _ = engine;
-        self.optimize(problem, init, budget, seed)
+        self.optimize_with(problem, init, budget, seed, &EvalEngine::serial())
     }
 
     /// Like [`Optimizer::optimize_with`], additionally streaming run
-    /// internals into the given [`Journal`]. The default wraps
-    /// [`Optimizer::optimize_with`] between a [`Manifest`] and a
-    /// [`RunEnd`] record — optimizers without internal instrumentation
-    /// (e.g. the BO baseline) still produce a valid, if shallow, journal.
-    /// Implementations must keep results bitwise identical to
-    /// [`Optimizer::optimize_with`] whether or not the journal is enabled.
-    fn optimize_observed(
+    /// internals into the given [`Journal`] and persisting crash-recovery
+    /// checkpoints through the given [`RunCheckpointer`] (see
+    /// [`crate::MaOpt::run`]). Implementations must keep results bitwise
+    /// identical to [`Optimizer::optimize_with`] whether or not the journal
+    /// is enabled.
+    ///
+    /// The default wraps [`Optimizer::optimize_with`] between a
+    /// [`Manifest`] and a [`RunEnd`] record and ignores the checkpointer —
+    /// optimizers without internal instrumentation or checkpoint support
+    /// (e.g. the BO baseline) still produce a valid, if shallow, journal
+    /// and simply run un-checkpointed rather than failing.
+    #[allow(clippy::too_many_arguments)]
+    fn optimize_resumable(
         &self,
         problem: &dyn SizingProblem,
         init: &[(Vec<f64>, Vec<f64>)],
@@ -63,7 +68,9 @@ pub trait Optimizer: Send + Sync {
         seed: u64,
         engine: &EvalEngine,
         journal: &Journal,
+        ckpt: Option<&RunCheckpointer>,
     ) -> RunResult {
+        let _ = ckpt;
         if !journal.enabled() {
             return self.optimize_with(problem, init, budget, seed, engine);
         }
@@ -98,45 +105,21 @@ pub trait Optimizer: Send + Sync {
         journal.flush();
         result
     }
+}
 
-    /// Like [`Optimizer::optimize_observed`], additionally persisting
-    /// crash-recovery checkpoints through the given [`RunCheckpointer`]
-    /// (see [`crate::MaOpt::run_resumable`]). The default ignores the
-    /// checkpointer — optimizers without checkpoint support (e.g. the BO
-    /// baseline) simply run un-checkpointed rather than failing.
-    #[allow(clippy::too_many_arguments)]
-    fn optimize_resumable(
-        &self,
-        problem: &dyn SizingProblem,
-        init: &[(Vec<f64>, Vec<f64>)],
-        budget: usize,
-        seed: u64,
-        engine: &EvalEngine,
-        journal: &Journal,
-        ckpt: Option<&RunCheckpointer>,
-    ) -> RunResult {
-        let _ = ckpt;
-        self.optimize_observed(problem, init, budget, seed, engine, journal)
+impl MaOptConfig {
+    /// This configuration's optimizer, reseeded with `seed`.
+    fn seeded(&self, seed: u64) -> MaOpt {
+        MaOpt::new(MaOptConfig {
+            seed,
+            ..self.clone()
+        })
     }
 }
 
 impl Optimizer for MaOptConfig {
     fn name(&self) -> String {
         self.label.clone()
-    }
-
-    fn optimize(
-        &self,
-        problem: &dyn SizingProblem,
-        init: &[(Vec<f64>, Vec<f64>)],
-        budget: usize,
-        seed: u64,
-    ) -> RunResult {
-        let config = MaOptConfig {
-            seed,
-            ..self.clone()
-        };
-        MaOpt::new(config).run(problem, init.to_vec(), budget)
     }
 
     fn optimize_with(
@@ -147,27 +130,9 @@ impl Optimizer for MaOptConfig {
         seed: u64,
         engine: &EvalEngine,
     ) -> RunResult {
-        let config = MaOptConfig {
-            seed,
-            ..self.clone()
-        };
-        MaOpt::new(config).run_with(problem, init.to_vec(), budget, engine)
-    }
-
-    fn optimize_observed(
-        &self,
-        problem: &dyn SizingProblem,
-        init: &[(Vec<f64>, Vec<f64>)],
-        budget: usize,
-        seed: u64,
-        engine: &EvalEngine,
-        journal: &Journal,
-    ) -> RunResult {
-        let config = MaOptConfig {
-            seed,
-            ..self.clone()
-        };
-        MaOpt::new(config).run_observed(problem, init.to_vec(), budget, engine, journal)
+        let disabled = Journal::disabled();
+        self.seeded(seed)
+            .run(problem, init.to_vec(), budget, engine, &disabled, None)
     }
 
     fn optimize_resumable(
@@ -180,11 +145,8 @@ impl Optimizer for MaOptConfig {
         journal: &Journal,
         ckpt: Option<&RunCheckpointer>,
     ) -> RunResult {
-        let config = MaOptConfig {
-            seed,
-            ..self.clone()
-        };
-        MaOpt::new(config).run_resumable(problem, init.to_vec(), budget, engine, journal, ckpt)
+        self.seeded(seed)
+            .run(problem, init.to_vec(), budget, engine, journal, ckpt)
     }
 }
 
@@ -258,155 +220,43 @@ impl MethodStats {
     }
 }
 
-/// Runs `runs` independent repetitions of one optimizer on a problem.
+/// Runs `inits.len()` independent repetitions of one optimizer on a
+/// problem.
 ///
 /// Run `r` uses the initial set `inits[r]` and seed `base_seed + r`, so that
 /// different methods given the same `inits` see identical starting data —
 /// the paper's protocol.
 ///
-/// # Panics
-///
-/// Panics if `inits.len() < runs`.
-pub fn run_method(
-    optimizer: &dyn Optimizer,
-    problem: &dyn SizingProblem,
-    inits: &[Vec<(Vec<f64>, Vec<f64>)>],
-    runs: usize,
-    budget: usize,
-    base_seed: u64,
-) -> MethodStats {
-    run_method_with(
-        optimizer,
-        problem,
-        inits,
-        runs,
-        budget,
-        base_seed,
-        &EvalEngine::serial(),
-    )
-}
-
-/// [`run_method`] with run-level parallelism and engine-backed simulations.
-///
-/// Runs are mutually independent (run `r` is fully determined by `inits[r]`
-/// and `base_seed + r`), so executing them concurrently on the engine's
-/// pool yields bitwise-identical per-run results to the serial loop; only
-/// wall-clock changes. The returned [`MethodStats::exec`] holds the engine
-/// counters accumulated by this method.
-///
-/// # Panics
-///
-/// Panics if `inits.len() < runs`.
-pub fn run_method_with(
-    optimizer: &dyn Optimizer,
-    problem: &dyn SizingProblem,
-    inits: &[Vec<(Vec<f64>, Vec<f64>)>],
-    runs: usize,
-    budget: usize,
-    base_seed: u64,
-    engine: &EvalEngine,
-) -> MethodStats {
-    run_method_observed(
-        optimizer,
-        problem,
-        inits,
-        runs,
-        budget,
-        base_seed,
-        engine,
-        &[],
-    )
-}
-
-/// [`run_method_with`] with one run [`Journal`] per run: run `r` streams
-/// its internals into `journals[r]`; runs beyond `journals.len()` (and all
-/// runs, when `journals` is empty) get the disabled no-op journal.
-/// Per-run results are bitwise identical to [`run_method_with`].
-///
-/// # Panics
-///
-/// Panics if `inits.len() < runs`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_method_observed(
-    optimizer: &dyn Optimizer,
-    problem: &dyn SizingProblem,
-    inits: &[Vec<(Vec<f64>, Vec<f64>)>],
-    runs: usize,
-    budget: usize,
-    base_seed: u64,
-    engine: &EvalEngine,
-    journals: &[Journal],
-) -> MethodStats {
-    run_method_nested(
-        optimizer, problem, inits, runs, budget, base_seed, engine, engine, journals,
-    )
-}
-
-/// [`run_method_observed`] with hierarchical job budgeting: repetitions
-/// fan out over `run_engine`'s pool while each repetition's simulations
-/// and training lanes fan out over `engine`'s pool, so up to
+/// Repetitions fan out over `run_engine`'s pool while each repetition's
+/// simulations and training lanes fan out over `engine`'s pool, so up to
 /// `run_engine.jobs() * engine.jobs()` simulations are in flight at once.
 /// Passing the same engine for both levels collapses to the single-pool
 /// behaviour (run-level fan-out with inline per-run simulation, since a
 /// pool never re-enters itself).
 ///
+/// Run `r` streams its internals into `journals[r]` and persists its state
+/// through `ckpts[r]` after every round, continuing from an existing
+/// snapshot when that checkpointer has resume enabled. Runs beyond
+/// `journals.len()` get the disabled no-op journal; runs beyond
+/// `ckpts.len()` are un-checkpointed.
+///
 /// Run `r` is fully determined by `inits[r]` and the per-run seed stream
 /// `base_seed + r`, so per-run results — and every non-timing field of
 /// the per-run journals — are bitwise identical for any worker count at
-/// either level. To keep that true for the journals' engine counter
-/// deltas, every run executes on a clone of `engine` carrying an
-/// *isolated* [`maopt_exec::Telemetry`] — fresh counters and metrics,
-/// but the same flight recorder when one is attached, so tracing never
-/// perturbs journal bytes — and a fresh [`SimCache`] when `engine` has
-/// one, at the cost of cross-run cache sharing. The per-run telemetry is
-/// merged back into `engine`'s sink after each run, so aggregate
-/// accounting is preserved.
-///
-/// # Panics
-///
-/// Panics if `inits.len() < runs`.
+/// either level, with or without journals, and across checkpoint/resume.
+/// To keep that true for the journals' engine counter deltas, every run
+/// executes on a clone of `engine` carrying an *isolated*
+/// [`maopt_exec::Telemetry`] — fresh counters and metrics, but the same
+/// flight recorder when one is attached, so tracing never perturbs journal
+/// bytes — and a fresh [`SimCache`] when `engine` has one, at the cost of
+/// cross-run cache sharing. The per-run telemetry is merged back into
+/// `engine`'s sink after each run, so the returned [`MethodStats::exec`]
+/// holds the engine counters accumulated by this method.
 #[allow(clippy::too_many_arguments)]
-pub fn run_method_nested(
+pub fn run_method(
     optimizer: &dyn Optimizer,
     problem: &dyn SizingProblem,
     inits: &[Vec<(Vec<f64>, Vec<f64>)>],
-    runs: usize,
-    budget: usize,
-    base_seed: u64,
-    run_engine: &EvalEngine,
-    engine: &EvalEngine,
-    journals: &[Journal],
-) -> MethodStats {
-    run_method_resumable(
-        optimizer,
-        problem,
-        inits,
-        runs,
-        budget,
-        base_seed,
-        run_engine,
-        engine,
-        journals,
-        &[],
-    )
-}
-
-/// [`run_method_nested`] with crash-safe checkpointing: run `r` persists
-/// its state through `ckpts[r]` after every round and — when that
-/// checkpointer has resume enabled — continues from an existing snapshot.
-/// Runs beyond `ckpts.len()` (and all runs, when `ckpts` is empty) are
-/// un-checkpointed. Per-run results and journals are bitwise identical
-/// (non-timing fields) to an un-checkpointed, uninterrupted run.
-///
-/// # Panics
-///
-/// Panics if `inits.len() < runs`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_method_resumable(
-    optimizer: &dyn Optimizer,
-    problem: &dyn SizingProblem,
-    inits: &[Vec<(Vec<f64>, Vec<f64>)>],
-    runs: usize,
     budget: usize,
     base_seed: u64,
     run_engine: &EvalEngine,
@@ -414,14 +264,13 @@ pub fn run_method_resumable(
     journals: &[Journal],
     ckpts: &[RunCheckpointer],
 ) -> MethodStats {
-    assert!(inits.len() >= runs, "need one initial set per run");
     let disabled = Journal::disabled();
     let before = engine.telemetry().snapshot();
     let results: Vec<RunResult> = {
         let _span = engine
             .telemetry()
             .span(&format!("method:{}", optimizer.name()));
-        run_engine.map((0..runs).collect(), |_, r| {
+        run_engine.map((0..inits.len()).collect(), |_, r| {
             let journal = journals.get(r).unwrap_or(&disabled);
             // Isolated telemetry: fresh counters per run (journal counter
             // deltas stay independent of sibling runs) while the flight
@@ -495,42 +344,13 @@ pub fn summarize(
     }
 }
 
-/// Pre-simulates one initial set per run (shared across methods).
+/// Pre-simulates one initial set per run (shared across methods), fanning
+/// the per-run sets over `run_engine`'s pool while each set's simulations
+/// run on `engine` — the same hierarchical budgeting as [`run_method`].
+/// Set `r` draws from the serial seed stream `base_seed + 1000 * r`
+/// regardless of scheduling, so the result is bitwise identical for any
+/// worker count.
 pub fn make_initial_sets(
-    problem: &dyn SizingProblem,
-    runs: usize,
-    init_size: usize,
-    base_seed: u64,
-) -> Vec<Vec<(Vec<f64>, Vec<f64>)>> {
-    make_initial_sets_with(problem, runs, init_size, base_seed, &EvalEngine::default())
-}
-
-/// [`make_initial_sets`] running its simulations on the given engine.
-pub fn make_initial_sets_with(
-    problem: &dyn SizingProblem,
-    runs: usize,
-    init_size: usize,
-    base_seed: u64,
-    engine: &EvalEngine,
-) -> Vec<Vec<(Vec<f64>, Vec<f64>)>> {
-    (0..runs)
-        .map(|r| {
-            sample_initial_set_with(
-                problem,
-                init_size,
-                base_seed.wrapping_add(1000 * r as u64),
-                engine,
-            )
-        })
-        .collect()
-}
-
-/// [`make_initial_sets_with`] fanning the per-run sets over `run_engine`'s
-/// pool while each set's simulations run on `engine` — the same
-/// hierarchical budgeting as [`run_method_nested`]. Set `r` draws from the
-/// serial seed stream `base_seed + 1000 * r` regardless of scheduling, so
-/// the result is bitwise identical to the serial loop.
-pub fn make_initial_sets_nested(
     problem: &dyn SizingProblem,
     runs: usize,
     init_size: usize,
@@ -579,8 +399,10 @@ mod tests {
     #[test]
     fn run_method_aggregates_over_runs() {
         let p = ConstrainedToy::new(2);
-        let inits = make_initial_sets(&p, 3, 15, 1);
-        let stats = run_method(&tiny(MaOptConfig::ma_opt2(0)), &p, &inits, 3, 8, 100);
+        let e = EvalEngine::serial();
+        let inits = make_initial_sets(&p, 3, 15, 1, &e, &e);
+        let cfg = tiny(MaOptConfig::ma_opt2(0));
+        let stats = run_method(&cfg, &p, &inits, 8, 100, &e, &e, &[], &[]);
         assert_eq!(stats.runs, 3);
         assert_eq!(stats.results.len(), 3);
         assert_eq!(stats.fom_curve.len(), 8);
@@ -595,8 +417,10 @@ mod tests {
     #[test]
     fn min_target_only_counts_feasible_runs() {
         let p = ConstrainedToy::new(2);
-        let inits = make_initial_sets(&p, 2, 25, 2);
-        let stats = run_method(&tiny(MaOptConfig::ma_opt(1)), &p, &inits, 2, 16, 50);
+        let e = EvalEngine::serial();
+        let inits = make_initial_sets(&p, 2, 25, 2, &e, &e);
+        let cfg = tiny(MaOptConfig::ma_opt(1));
+        let stats = run_method(&cfg, &p, &inits, 16, 50, &e, &e, &[], &[]);
         if stats.successes > 0 {
             let t = stats.min_target.unwrap();
             assert!(t.is_finite() && t > 0.0);

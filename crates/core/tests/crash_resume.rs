@@ -78,18 +78,19 @@ fn reference_and_resumed(
     let ckpt_path = dir.join("run.ckpt");
 
     let journal = Journal::create(&ref_path).unwrap();
-    let reference = MaOpt::new(cfg.clone()).run_observed(
+    let reference = MaOpt::new(cfg.clone()).run(
         problems[0],
         init.clone(),
         budget,
         &mk_engine(),
         &journal,
+        None,
     );
     drop(journal);
 
     let ckpt = RunCheckpointer::new(&ckpt_path).with_halt_after_round(k);
     let journal = Journal::create(&res_path).unwrap();
-    let halted = MaOpt::new(cfg.clone()).run_resumable(
+    let halted = MaOpt::new(cfg.clone()).run(
         problems[1],
         init.clone(),
         budget,
@@ -112,7 +113,7 @@ fn reference_and_resumed(
     // engine, fresh problem instance, resume from the snapshot.
     let ckpt = RunCheckpointer::new(&ckpt_path).with_resume(true);
     let journal = Journal::create(&res_path).unwrap();
-    let resumed = MaOpt::new(cfg.clone()).run_resumable(
+    let resumed = MaOpt::new(cfg.clone()).run(
         problems[2],
         init,
         budget,
@@ -165,7 +166,7 @@ fn resumed_run_end_carries_the_checkpointed_timings() {
     let ckpt_path = dir.join("run.ckpt");
 
     let ckpt = RunCheckpointer::new(&ckpt_path).with_halt_after_round(4);
-    MaOpt::new(cfg.clone()).run_resumable(
+    MaOpt::new(cfg.clone()).run(
         &problem,
         init.clone(),
         40,
@@ -182,7 +183,7 @@ fn resumed_run_end_carries_the_checkpointed_timings() {
     let res_path = dir.join("resumed.jsonl");
     let journal = Journal::create(&res_path).unwrap();
     let ckpt = RunCheckpointer::new(&ckpt_path).with_resume(true);
-    MaOpt::new(cfg).run_resumable(
+    MaOpt::new(cfg).run(
         &problem,
         init,
         40,
@@ -222,19 +223,20 @@ fn torn_newest_generation_rolls_back_and_stays_byte_identical() {
 
     let ref_path = dir.join("reference.jsonl");
     let journal = Journal::create(&ref_path).unwrap();
-    let reference = MaOpt::new(cfg.clone()).run_observed(
+    let reference = MaOpt::new(cfg.clone()).run(
         &problem,
         init.clone(),
         budget,
         &EvalEngine::serial(),
         &journal,
+        None,
     );
     drop(journal);
 
     let res_path = dir.join("resumed.jsonl");
     let ckpt = RunCheckpointer::new(&ckpt_path).with_halt_after_round(4);
     let journal = Journal::create(&res_path).unwrap();
-    MaOpt::new(cfg.clone()).run_resumable(
+    MaOpt::new(cfg.clone()).run(
         &problem,
         init.clone(),
         budget,
@@ -255,7 +257,7 @@ fn torn_newest_generation_rolls_back_and_stays_byte_identical() {
 
     let ckpt = RunCheckpointer::new(&ckpt_path).with_resume(true);
     let journal = Journal::create(&res_path).unwrap();
-    let resumed = MaOpt::new(cfg).run_resumable(
+    let resumed = MaOpt::new(cfg).run(
         &problem,
         init,
         budget,
@@ -289,7 +291,7 @@ fn resume_after_completion_rewrites_an_identical_run_end() {
     let ref_path = dir.join("reference.jsonl");
     let journal = Journal::create(&ref_path).unwrap();
     let ckpt = RunCheckpointer::new(dir.join("run.ckpt"));
-    MaOpt::new(cfg.clone()).run_resumable(
+    MaOpt::new(cfg.clone()).run(
         &problem,
         init.clone(),
         budget,
@@ -302,7 +304,7 @@ fn resume_after_completion_rewrites_an_identical_run_end() {
     let res_path = dir.join("resumed.jsonl");
     let ckpt = RunCheckpointer::new(dir.join("run.ckpt")).with_resume(true);
     let journal = Journal::create(&res_path).unwrap();
-    MaOpt::new(cfg).run_resumable(
+    MaOpt::new(cfg).run(
         &problem,
         init,
         budget,

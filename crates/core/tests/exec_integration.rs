@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use maopt_core::problems::{ConstrainedToy, Sphere};
 use maopt_core::runner::{
-    make_initial_sets, run_method, run_method_with, sample_initial_set, sample_initial_set_with,
+    make_initial_sets, run_method, sample_initial_set, sample_initial_set_with,
 };
 use maopt_core::{
     EngineProblem, FomConfig, MaOptConfig, NearSampler, ParamSpec, SizingProblem, Spec,
@@ -108,11 +108,13 @@ fn assert_stats_identical(
 fn run_method_parallel_matches_serial_bitwise() {
     let p = ConstrainedToy::new(2);
     let (runs, budget) = (3, 8);
-    let inits = make_initial_sets(&p, runs, 12, 1);
+    let s = EvalEngine::serial();
+    let inits = make_initial_sets(&p, runs, 12, 1, &s, &s);
     let cfg = tiny(MaOptConfig::ma_opt(0));
 
-    let serial = run_method(&cfg, &p, &inits, runs, budget, 100);
-    let parallel = run_method_with(&cfg, &p, &inits, runs, budget, 100, &EvalEngine::new(4));
+    let serial = run_method(&cfg, &p, &inits, budget, 100, &s, &s, &[], &[]);
+    let e = EvalEngine::new(4);
+    let parallel = run_method(&cfg, &p, &inits, budget, 100, &e, &e, &[], &[]);
 
     assert_stats_identical(&serial, &parallel, budget);
     assert_eq!(
@@ -123,15 +125,16 @@ fn run_method_parallel_matches_serial_bitwise() {
 }
 
 #[test]
-fn run_method_with_cache_is_transparent() {
+fn cached_run_method_is_transparent() {
     let p = Sphere::new(3);
     let (runs, budget) = (2, 6);
-    let inits = make_initial_sets(&p, runs, 10, 2);
+    let s = EvalEngine::serial();
+    let inits = make_initial_sets(&p, runs, 10, 2, &s, &s);
     let cfg = tiny(MaOptConfig::ma_opt2(0));
 
-    let plain = run_method(&cfg, &p, &inits, runs, budget, 50);
+    let plain = run_method(&cfg, &p, &inits, budget, 50, &s, &s, &[], &[]);
     let engine = EvalEngine::new(3).with_cache(Arc::new(SimCache::new()));
-    let cached = run_method_with(&cfg, &p, &inits, runs, budget, 50, &engine);
+    let cached = run_method(&cfg, &p, &inits, budget, 50, &engine, &engine, &[], &[]);
 
     assert_stats_identical(&plain, &cached, budget);
     let exec = &cached.exec;
@@ -274,9 +277,11 @@ fn engine_problem_panic_is_isolated_and_penalized() {
 #[test]
 fn telemetry_spans_cover_engine_phases() {
     let p = Sphere::new(2);
-    let inits = make_initial_sets(&p, 1, 8, 3);
+    let s = EvalEngine::serial();
+    let inits = make_initial_sets(&p, 1, 8, 3, &s, &s);
     let engine = EvalEngine::new(2).with_telemetry(Arc::new(Telemetry::new()));
-    let _ = run_method_with(&tiny(MaOptConfig::ma_opt2(0)), &p, &inits, 1, 4, 9, &engine);
+    let cfg = tiny(MaOptConfig::ma_opt2(0));
+    let _ = run_method(&cfg, &p, &inits, 4, 9, &engine, &engine, &[], &[]);
     let spans = engine.telemetry().spans();
     let names: Vec<&str> = spans.iter().map(|(n, _)| n.as_str()).collect();
     assert!(names.contains(&"actor_training"), "{names:?}");

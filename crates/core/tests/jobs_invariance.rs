@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use maopt_core::problem::{ParamSpec, SizingProblem, Spec};
 use maopt_core::problems::ConstrainedToy;
-use maopt_core::runner::{make_initial_sets_nested, run_method_nested, MethodStats};
+use maopt_core::runner::{make_initial_sets, run_method, MethodStats};
 use maopt_core::{MaOptConfig, OpState};
 use maopt_exec::{EvalEngine, SimCache, Telemetry};
 use maopt_obs::{read_journal, Journal, Record};
@@ -113,7 +113,7 @@ fn run_protocol_on(
         .with_telemetry(Arc::new(Telemetry::new()))
         .with_cache(Arc::new(SimCache::new()));
     let run_engine = EvalEngine::new(run_jobs);
-    let inits = make_initial_sets_nested(problem, RUNS, INIT_SIZE, SEED, &run_engine, &engine);
+    let inits = make_initial_sets(problem, RUNS, INIT_SIZE, SEED, &run_engine, &engine);
 
     let dir = std::env::temp_dir().join(format!("maopt-invariance-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -121,16 +121,16 @@ fn run_protocol_on(
         .map(|r| Journal::create(dir.join(format!("run{r}.jsonl"))).unwrap())
         .collect();
     let opt = tiny(MaOptConfig::ma_opt(SEED));
-    let stats = run_method_nested(
+    let stats = run_method(
         &opt,
         problem,
         &inits,
-        RUNS,
         BUDGET,
         SEED + 7,
         &run_engine,
         &engine,
         &journals,
+        &[],
     );
     drop(journals);
 

@@ -4,11 +4,10 @@
 
 use std::sync::Arc;
 
+use maopt_core::baselines::RandomSearch;
 use maopt_core::problems::ConstrainedToy;
-use maopt_core::runner::{
-    make_initial_sets, run_method_observed, run_method_resumable, sample_initial_set,
-};
-use maopt_core::{MaOpt, MaOptConfig};
+use maopt_core::runner::{make_initial_sets, run_method, sample_initial_set};
+use maopt_core::{MaOpt, MaOptConfig, RunResult};
 use maopt_exec::{EvalEngine, Telemetry, TraceRecorder};
 use maopt_obs::{read_journal, Journal, Record};
 
@@ -36,9 +35,9 @@ fn journaled_run_is_bitwise_identical_to_plain_run() {
 
     let path = tmp_dir("identity.jsonl");
     let journal = Journal::create(&path).unwrap();
-    let observed = opt.run_observed(&problem, init.clone(), 20, &engine, &journal);
+    let observed = opt.run(&problem, init.clone(), 20, &engine, &journal, None);
     drop(journal);
-    let plain = opt.run_with(&problem, init, 20, &engine);
+    let plain = opt.run(&problem, init, 20, &engine, &Journal::disabled(), None);
 
     assert_eq!(
         observed.trace.best_fom_series(20),
@@ -58,7 +57,7 @@ fn journal_from_real_run_is_schema_valid_and_complete() {
 
     let path = tmp_dir("complete.jsonl");
     let journal = Journal::create(&path).unwrap();
-    let result = opt.run_observed(&problem, init, 24, &engine, &journal);
+    let result = opt.run(&problem, init, 24, &engine, &journal, None);
     drop(journal);
 
     let records = read_journal(&path).unwrap();
@@ -116,14 +115,25 @@ fn journal_from_real_run_is_schema_valid_and_complete() {
 #[test]
 fn run_end_phase_times_are_the_engine_span_sums() {
     let problem = ConstrainedToy::new(3);
-    let inits = make_initial_sets(&problem, 1, 25, 32);
+    let init_engine = EvalEngine::serial();
+    let inits = make_initial_sets(&problem, 1, 25, 32, &init_engine, &init_engine);
     let opt = tiny(MaOptConfig::ma_opt(32));
     // A fresh engine: its spans hold this one run and nothing else.
     let engine = EvalEngine::serial();
 
     let dir = tmp_dir("span-sums");
     let journals = vec![Journal::create(dir.join("run0.jsonl")).unwrap()];
-    run_method_observed(&opt, &problem, &inits, 1, 24, 32, &engine, &journals);
+    run_method(
+        &opt,
+        &problem,
+        &inits,
+        24,
+        32,
+        &engine,
+        &engine,
+        &journals,
+        &[],
+    );
     drop(journals);
 
     let Some(Record::RunEnd(end)) = read_journal(dir.join("run0.jsonl")).unwrap().pop() else {
@@ -160,19 +170,29 @@ fn run_end_phase_times_are_the_engine_span_sums() {
 }
 
 #[test]
-fn run_method_observed_writes_one_journal_per_run_and_matches_plain() {
+fn run_method_writes_one_journal_per_run_and_matches_plain() {
     let problem = ConstrainedToy::new(2);
-    let inits = make_initial_sets(&problem, 2, 15, 41);
-    let opt = tiny(MaOptConfig::ma_opt2(41));
     let engine = EvalEngine::serial();
+    let inits = make_initial_sets(&problem, 2, 15, 41, &engine, &engine);
+    let opt = tiny(MaOptConfig::ma_opt2(41));
 
     let dir = tmp_dir("per-run");
     let journals: Vec<Journal> = (0..2)
         .map(|r| Journal::create(dir.join(format!("run{r}.jsonl"))).unwrap())
         .collect();
-    let observed = run_method_observed(&opt, &problem, &inits, 2, 8, 500, &engine, &journals);
+    let observed = run_method(
+        &opt,
+        &problem,
+        &inits,
+        8,
+        500,
+        &engine,
+        &engine,
+        &journals,
+        &[],
+    );
     drop(journals);
-    let plain = maopt_core::runner::run_method_with(&opt, &problem, &inits, 2, 8, 500, &engine);
+    let plain = run_method(&opt, &problem, &inits, 8, 500, &engine, &engine, &[], &[]);
 
     assert_eq!(observed.fom_curve, plain.fom_curve);
     for r in 0..2 {
@@ -184,6 +204,69 @@ fn run_method_observed_writes_one_journal_per_run_and_matches_plain() {
         };
         assert_eq!(m.seed, 500 + r as u64, "run r gets seed base + r");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn uninstrumented_optimizer_gets_a_shallow_journal() {
+    // Random search writes no journal records of its own: the default
+    // `Optimizer::optimize_resumable` wraps it in a manifest and a run end.
+    let problem = ConstrainedToy::new(2);
+    let engine = EvalEngine::serial();
+    let inits = make_initial_sets(&problem, 1, 12, 51, &engine, &engine);
+    let (opt, budget) = (RandomSearch::new(), 10);
+
+    let dir = tmp_dir("shallow");
+    let path = dir.join("run0.jsonl");
+    let journals = vec![Journal::create(&path).unwrap()];
+    let observed = run_method(
+        &opt,
+        &problem,
+        &inits,
+        budget,
+        51,
+        &engine,
+        &engine,
+        &journals,
+        &[],
+    );
+    drop(journals);
+    let plain = run_method(
+        &opt,
+        &problem,
+        &inits,
+        budget,
+        51,
+        &engine,
+        &engine,
+        &[],
+        &[],
+    );
+
+    let records = read_journal(&path).unwrap();
+    let [Record::Manifest(m), Record::RunEnd(end)] = records.as_slice() else {
+        panic!("expected exactly a manifest and a run end: {records:?}");
+    };
+    assert_eq!(m.label, "Random");
+    assert_eq!(m.budget, budget);
+    assert_eq!(m.init_size, 12);
+    let result = &observed.results[0];
+    assert_eq!(end.sims, result.trace.num_sims());
+    let trace_bits = |r: &RunResult| -> Vec<_> {
+        r.trace
+            .entries()
+            .iter()
+            .map(|e| {
+                let bits = (e.fom.to_bits(), e.best_fom.to_bits(), e.target.to_bits());
+                (e.sim, bits, e.feasible, e.kind)
+            })
+            .collect()
+    };
+    assert_eq!(
+        trace_bits(result),
+        trace_bits(&plain.results[0]),
+        "journaling must not change the run"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -209,7 +292,8 @@ fn traced_run_journals_are_byte_identical_to_untraced() {
     // contract: attaching a tracer to the engine changes not a single
     // non-timing journal byte, even with pool workers recording spans.
     let problem = ConstrainedToy::new(2);
-    let inits = make_initial_sets(&problem, 2, 15, 77);
+    let init_engine = EvalEngine::serial();
+    let inits = make_initial_sets(&problem, 2, 15, 77, &init_engine, &init_engine);
     let opt = tiny(MaOptConfig::ma_opt2(77));
 
     let run = |tracer: Option<Arc<TraceRecorder>>, tag: &str| -> Vec<Vec<String>> {
@@ -223,11 +307,10 @@ fn traced_run_journals_are_byte_identical_to_untraced() {
         let journals: Vec<Journal> = (0..2)
             .map(|r| Journal::create(dir.join(format!("run{r}.jsonl"))).unwrap())
             .collect();
-        run_method_resumable(
+        run_method(
             &opt,
             &problem,
             &inits,
-            2,
             8,
             600,
             &run_engine,

@@ -12,12 +12,14 @@ use ma_opt::core::baselines::{DifferentialEvolution, ParticleSwarm, RandomSearch
 use ma_opt::core::problems::ConstrainedToy;
 use ma_opt::core::runner::{make_initial_sets, run_method, Optimizer};
 use ma_opt::core::MaOptConfig;
+use ma_opt::exec::EvalEngine;
 
 fn main() {
     let problem = ConstrainedToy::new(8);
     let runs = 5;
     let budget = 60;
-    let inits = make_initial_sets(&problem, runs, 30, 3);
+    let engine = EvalEngine::default();
+    let inits = make_initial_sets(&problem, runs, 30, 3, &engine, &engine);
 
     let methods: Vec<Box<dyn Optimizer>> = vec![
         Box::new(RandomSearch::new()),
@@ -36,7 +38,17 @@ fn main() {
     );
     println!("{}", "-".repeat(62));
     for method in methods {
-        let stats = run_method(method.as_ref(), &problem, &inits, runs, budget, 99);
+        let stats = run_method(
+            method.as_ref(),
+            &problem,
+            &inits,
+            budget,
+            99,
+            &engine,
+            &engine,
+            &[],
+            &[],
+        );
         println!(
             "{:>8} | {:>8} | {:>12} | {:>12.2} | {:>10.2}",
             stats.name,

@@ -8,8 +8,8 @@
 
 use ma_opt::circuits::FoldedCascodeOta;
 use ma_opt::core::export::sizing_report;
-use ma_opt::core::runner::sample_initial_set;
-use ma_opt::core::{MaOpt, MaOptConfig, SizingProblem};
+use ma_opt::core::runner::{sample_initial_set, Optimizer};
+use ma_opt::core::{MaOptConfig, SizingProblem};
 
 fn main() {
     let problem = FoldedCascodeOta::new();
@@ -21,7 +21,7 @@ fn main() {
     );
 
     let init = sample_initial_set(&problem, 40, 17);
-    let result = MaOpt::new(MaOptConfig::ma_opt(17)).run(&problem, init, 60);
+    let result = MaOptConfig::ma_opt(17).optimize(&problem, &init, 60, 17);
 
     println!(
         "\nbest FoM {:.4e} after {} simulations ({} near-sampling rounds)",

@@ -8,8 +8,8 @@
 //! ```
 
 use ma_opt::circuits::TwoStageOta;
-use ma_opt::core::runner::sample_initial_set;
-use ma_opt::core::{MaOpt, MaOptConfig, SizingProblem};
+use ma_opt::core::runner::{sample_initial_set, Optimizer};
+use ma_opt::core::{MaOptConfig, SizingProblem};
 
 fn main() {
     // 1. The sizing problem: 16 parameters, Eq. 7 specs, minimize power.
@@ -26,8 +26,7 @@ fn main() {
     println!("simulated {} initial designs", init.len());
 
     // 3. Run MA-Opt: 3 actors, shared elite set, near-sampling.
-    let optimizer = MaOpt::new(MaOptConfig::ma_opt(7));
-    let result = optimizer.run(&problem, init, 60);
+    let result = MaOptConfig::ma_opt(7).optimize(&problem, &init, 60, 7);
 
     // 4. Report.
     println!(

@@ -17,8 +17,8 @@
 //!
 //! ```
 //! use ma_opt::core::problems::Sphere;
-//! use ma_opt::core::runner::sample_initial_set;
-//! use ma_opt::core::{MaOpt, MaOptConfig};
+//! use ma_opt::core::runner::{sample_initial_set, Optimizer};
+//! use ma_opt::core::MaOptConfig;
 //!
 //! let problem = Sphere::new(3);
 //! let init = sample_initial_set(&problem, 10, 1);
@@ -28,7 +28,7 @@
 //!     actor_steps: 5,
 //!     ..MaOptConfig::ma_opt2(1)
 //! };
-//! let result = MaOpt::new(config).run(&problem, init, 6);
+//! let result = config.optimize(&problem, &init, 6, 1);
 //! assert!(result.best_fom().is_finite());
 //! ```
 

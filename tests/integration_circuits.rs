@@ -4,8 +4,8 @@
 //! binary.
 
 use ma_opt::circuits::{LdoRegulator, ThreeStageTia, TwoStageOta};
-use ma_opt::core::runner::sample_initial_set;
-use ma_opt::core::{fom, FomConfig, MaOpt, MaOptConfig, SizingProblem};
+use ma_opt::core::runner::{sample_initial_set, Optimizer};
+use ma_opt::core::{fom, FomConfig, MaOptConfig, SizingProblem};
 
 fn small(cfg: MaOptConfig) -> MaOptConfig {
     MaOptConfig {
@@ -59,7 +59,7 @@ fn assert_improves_somewhere(problem: &dyn SizingProblem, seeds: &[u64], budget:
     let mut improved = 0;
     for &seed in seeds {
         let init = sample_initial_set(problem, 30, seed);
-        let result = MaOpt::new(small(MaOptConfig::ma_opt(seed))).run(problem, init, budget);
+        let result = small(MaOptConfig::ma_opt(seed)).optimize(problem, &init, budget, seed);
         assert!(
             result.best_fom() <= result.trace.init_best_fom(),
             "{} seed {seed}: best-so-far regressed",
@@ -118,6 +118,6 @@ fn parallel_evaluations_match_serial() {
 fn maopt_improves_the_ldo() {
     let problem = LdoRegulator::new();
     let init = sample_initial_set(&problem, 30, 23);
-    let result = MaOpt::new(small(MaOptConfig::ma_opt(23))).run(&problem, init, 24);
+    let result = small(MaOptConfig::ma_opt(23)).optimize(&problem, &init, 24, 23);
     assert!(result.best_fom() < result.trace.init_best_fom());
 }

@@ -4,7 +4,8 @@
 use ma_opt::bo::BoOptimizer;
 use ma_opt::core::problems::{ConstrainedToy, RosenbrockDisk, Sphere};
 use ma_opt::core::runner::{make_initial_sets, run_method, sample_initial_set, Optimizer};
-use ma_opt::core::{MaOpt, MaOptConfig};
+use ma_opt::core::MaOptConfig;
+use ma_opt::exec::EvalEngine;
 
 /// Shrinks network/training sizes so debug-mode tests stay fast while
 /// exercising identical code paths.
@@ -30,7 +31,7 @@ fn all_four_variants_improve_on_sphere() {
         MaOptConfig::ma_opt(3),
     ] {
         let label = cfg.label.clone();
-        let result = MaOpt::new(small(cfg)).run(&problem, init.clone(), 30);
+        let result = small(cfg).optimize(&problem, &init, 30, 3);
         // Never worse than the initial set (best-so-far is monotone)…
         assert!(
             result.best_fom() <= result.trace.init_best_fom(),
@@ -51,8 +52,10 @@ fn all_four_variants_improve_on_sphere() {
 #[test]
 fn maopt_reaches_feasibility_on_constrained_toy() {
     let problem = ConstrainedToy::new(4);
-    let inits = make_initial_sets(&problem, 2, 25, 5);
-    let stats = run_method(&small(MaOptConfig::ma_opt(5)), &problem, &inits, 2, 30, 17);
+    let engine = EvalEngine::serial();
+    let inits = make_initial_sets(&problem, 2, 25, 5, &engine, &engine);
+    let cfg = small(MaOptConfig::ma_opt(5));
+    let stats = run_method(&cfg, &problem, &inits, 30, 17, &engine, &engine, &[], &[]);
     assert_eq!(stats.successes, 2, "both runs should satisfy the toy specs");
     assert!(stats.min_target.unwrap() > 0.0);
 }
@@ -122,7 +125,7 @@ fn near_sampling_stays_local_to_the_incumbent() {
         delta: 0.03,
         ..small(MaOptConfig::ma_opt(10))
     };
-    let result = MaOpt::new(cfg).run(&problem, init, 30);
+    let result = cfg.optimize(&problem, &init, 30, 10);
     // Reconstruct: every NearSample entry's design is in the population at
     // init_len + sim − 1; check it lies in the δ-box of some earlier design.
     let entries = result.trace.entries();
