@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 use maopt_core::{Critic, FomConfig, Population, Spec, Surrogate};
 use maopt_exec::EvalEngine;
-use maopt_linalg::{kernels, Mat};
+use maopt_linalg::{kernels, Cholesky, Mat};
 use maopt_nn::{mse_loss_grad_into, Activation, Mlp, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,7 +69,56 @@ fn bench_linalg_kernels(c: &mut Criterion) {
     group.bench_function("matvec_into/100x100", |b_| {
         b_.iter(|| kernels::matvec_into(black_box(&b), black_box(&x), &mut vout))
     });
+
+    // BO's GP at the paper's 300 designs: one blocked EI solve of
+    // `Cholesky::BLOCK` candidates, and appending one design's kernel row.
+    let k = gp_kernel_matrix(301);
+    let factor300 = || {
+        let mut ch = Cholesky::default();
+        for i in 0..300 {
+            ch.push_row(&k.row(i)[..=i]).expect("kernel matrix is SPD");
+        }
+        ch
+    };
+    let chol = factor300();
+    let w = Cholesky::BLOCK;
+    let rhs0: Vec<f64> = (0..300 * w).map(|i| (i as f64 * 0.013).sin()).collect();
+    let mut rhs = rhs0.clone();
+    group.bench_function(format!("cholesky_solve_block/300x{w}"), |b_| {
+        b_.iter(|| {
+            rhs.copy_from_slice(&rhs0);
+            chol.solve_many(black_box(&mut rhs), w)
+        })
+    });
+
+    // Each timed call grows its own 300-row factor, built row by row as
+    // the GP builds it, so neither the set-up nor the drop is timed.
+    let mut fresh: Vec<Cholesky> = (0..=sample_size()).map(|_| factor300()).collect();
+    let mut grown = Vec::with_capacity(fresh.len());
+    let row = &k.row(300)[..=300];
+    group.bench_function("cholesky_push_row/300", |b_| {
+        b_.iter(|| {
+            let mut ch = fresh.pop().expect("one factor per timed call");
+            ch.push_row(black_box(row)).expect("kernel matrix is SPD");
+            grown.push(ch);
+        })
+    });
     group.finish();
+}
+
+/// The RBF kernel matrix (length-scale 0.4, diagonal noise 1e-6) of `n`
+/// deterministic 8-dimensional designs in `[-1, 1]`, as BO's GP builds it.
+fn gp_kernel_matrix(n: usize) -> Mat {
+    let xs = seq_mat(n, 8, 1.0);
+    Mat::from_fn(n, n, |i, j| {
+        let d2: f64 = xs
+            .row(i)
+            .iter()
+            .zip(xs.row(j))
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum();
+        (-0.5 * d2 / (0.4 * 0.4)).exp() + if i == j { 1e-6 } else { 0.0 }
+    })
 }
 
 /// MLP passes through the workspace, at the paper's critic shape.

@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra foundation.
 
-use maopt_linalg::{CLu, CMat, Cholesky, Complex, Lu, Mat};
+use maopt_linalg::{CLu, CMat, Cholesky, Complex, LinalgError, Lu, Mat};
 use proptest::prelude::*;
 
 /// Strategy: an n×n matrix with entries in [-1, 1] and a boosted diagonal so
@@ -55,6 +55,68 @@ fn reference_matvec(a: &Mat, x: &[f64]) -> Vec<f64> {
     (0..a.rows())
         .map(|i| a.row(i).iter().zip(x).map(|(p, q)| p * q).sum())
         .collect()
+}
+
+/// Reference Cholesky: the seed implementation's whole-matrix loop.
+fn reference_cholesky(a: &Mat) -> Result<Mat, usize> {
+    let n = a.rows();
+    let mut l = Mat::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a[(i, j)];
+            for k in 0..j {
+                sum -= l[(i, k)] * l[(j, k)];
+            }
+            if i == j {
+                if sum <= 0.0 || !sum.is_finite() {
+                    return Err(i);
+                }
+                l[(i, j)] = sum.sqrt();
+            } else {
+                l[(i, j)] = sum / l[(j, j)];
+            }
+        }
+    }
+    Ok(l)
+}
+
+/// Reference solve: the seed implementation's scalar forward and backward
+/// substitution on a dense factor.
+fn reference_solve(l: &Mat, b: &[f64]) -> Vec<f64> {
+    let n = l.rows();
+    let mut y = vec![0.0; n];
+    for i in 0..n {
+        let mut sum = b[i];
+        for j in 0..i {
+            sum -= l[(i, j)] * y[j];
+        }
+        y[i] = sum / l[(i, i)];
+    }
+    let mut x = vec![0.0; n];
+    for i in (0..n).rev() {
+        let mut sum = y[i];
+        for j in (i + 1)..n {
+            sum -= l[(j, i)] * x[j];
+        }
+        x[i] = sum / l[(i, i)];
+    }
+    x
+}
+
+/// Strategy: an SPD matrix `BᵀB + I` of random size `1..=max_n`.
+fn spd(max_n: usize) -> impl Strategy<Value = Mat> {
+    (
+        1..max_n + 1,
+        prop::collection::vec(-1.0f64..1.0, max_n * max_n),
+    )
+        .prop_map(|(n, data)| {
+            let b = Mat::from_vec(n, n, data[..n * n].to_vec());
+            let mut a = b.transpose().matmul(&b);
+            for i in 0..n {
+                a[(i, i)] += 1.0;
+            }
+            a
+        })
 }
 
 /// Reference transposed matvec: the seed implementation's exact loop.
@@ -282,5 +344,87 @@ proptest! {
         prop_assert!(((a * b).abs() - a.abs() * b.abs()).abs() < 1e-9);
         // Conjugate distributes over multiplication
         prop_assert!(((a * b).conj() - a.conj() * b.conj()).abs() < 1e-9);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn push_row_factor_equals_whole_matrix_factor_bitwise(a in spd(24)) {
+        let n = a.rows();
+        let mut grown = Cholesky::default();
+        for i in 0..n {
+            grown.push_row(&a.row(i)[..=i]).unwrap();
+        }
+        let whole = Cholesky::new(&a).unwrap();
+        let seed = reference_cholesky(&a).unwrap();
+        prop_assert_eq!(bits(grown.factor().as_slice()), bits(seed.as_slice()));
+        prop_assert_eq!(bits(whole.factor().as_slice()), bits(seed.as_slice()));
+        prop_assert_eq!(grown.log_det().to_bits(), whole.log_det().to_bits());
+    }
+
+    #[test]
+    fn push_row_fails_where_the_whole_matrix_fails(
+        n in 2usize..16,
+        data in prop::collection::vec(-1.0f64..1.0, 16 * 16),
+        shift in -3.0f64..0.5,
+    ) {
+        // Symmetric with a weak diagonal: usually indefinite.
+        let mut a = Mat::from_fn(n, n, |i, j| data[i.min(j) * 16 + i.max(j)]);
+        for i in 0..n {
+            a[(i, i)] += shift;
+        }
+        let want = reference_cholesky(&a).err();
+        let got = match Cholesky::new(&a) {
+            Ok(_) => None,
+            Err(LinalgError::NotPositiveDefinite { index }) => Some(index),
+            Err(e) => panic!("unexpected error {e}"),
+        };
+        prop_assert_eq!(got, want);
+        let mut grown = Cholesky::default();
+        let mut failed = None;
+        for i in 0..n {
+            if let Err(e) = grown.push_row(&a.row(i)[..=i]) {
+                prop_assert!(matches!(e, LinalgError::NotPositiveDefinite { index } if index == i));
+                failed = Some(i);
+                break;
+            }
+        }
+        prop_assert_eq!(failed, want);
+        // A failed row leaves the factor as it was.
+        prop_assert_eq!(grown.dim(), want.unwrap_or(n));
+    }
+
+    #[test]
+    fn block_solve_equals_solve_per_column_bitwise(
+        a in spd(20),
+        width_pick in 0usize..5,
+        seed in 0u64..u64::MAX,
+    ) {
+        let b = Cholesky::BLOCK;
+        let width = [1, b - 1, b, b + 1, 2 * b + 3][width_pick];
+        let n = a.rows();
+        let ch = Cholesky::new(&a).unwrap();
+        let l = ch.factor();
+        let mut s = seed | 1;
+        let mut rhs: Vec<f64> = (0..n * width)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s % 20_001) as f64 / 1000.0 - 10.0
+            })
+            .collect();
+        let columns: Vec<Vec<f64>> = (0..width)
+            .map(|c| (0..n).map(|i| rhs[i * width + c]).collect())
+            .collect();
+        ch.solve_many(&mut rhs, width).unwrap();
+        for (c, col) in columns.iter().enumerate() {
+            let got: Vec<f64> = (0..n).map(|i| rhs[i * width + c]).collect();
+            let single = ch.solve(col).unwrap();
+            prop_assert_eq!(bits(&got), bits(&single), "column {} of {}", c, width);
+            prop_assert_eq!(bits(&single), bits(&reference_solve(&l, col)));
+        }
     }
 }
